@@ -21,25 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import Basis, bool_basis, product
+from .basis import bool_basis, product
 from .density import DensityMatrix, pure_density
 from .linear import LinearOp, adjoint, controlled, from_rows, gate
 from .superop import Superoperator, arr, first, lin2super, measure, trace_left
 from .vector import StateVector, bind, named_state, unit
 
 
-def _b() -> Basis:
-    return bool_basis()
-
-
-def _b2() -> Basis:
-    b = bool_basis()
-    return product([b, b])
-
-
-def _b3() -> Basis:
-    b = bool_basis()
-    return product([b, b, b])
+_B = bool_basis()
+_B2 = product([_B, _B])
+_B3 = product([_B, _B, _B])
 
 
 def toffoli_lin() -> LinearOp:
@@ -65,11 +56,11 @@ def toffoli_lin() -> LinearOp:
                bind(h.row(tb[1]), lambda b5:
                _unit3((tb[0], tm2[1], b5)))))))))
 
-    return from_rows(row, _b3(), name="toffoli")
+    return from_rows(row, _B3, name="toffoli")
 
 
 def _unit3(label: tuple) -> StateVector:
-    return unit(_b3(), label)
+    return unit(_B3, label)
 
 
 def toffoli_super() -> Superoperator:
@@ -78,7 +69,7 @@ def toffoli_super() -> Superoperator:
     Each stage routes the active wires to the front, applies the lifted gate
     with ``first``, and shuffles for the next stage.
     """
-    b, bb, b3 = _b(), _b2(), _b3()
+    b, bb, b3 = _B, _B2, _B3
     had = lin2super(gate("hadamard"))
     cnot = lin2super(controlled(gate("qnot")))
     cphase = lin2super(controlled(gate("phase")))
@@ -110,7 +101,7 @@ def alice() -> Superoperator:
     collapsed half.  The output is fully decohered: a diagonal density of
     the two classical bits.
     """
-    b, bb = _b(), _b2()
+    b, bb = _B, _B2
     s = arr(lambda t: (t[1], t[0]), bb, bb, name="arr(swap)")
     s = s >> lin2super(controlled(gate("qnot")))
     s = s >> first(lin2super(gate("hadamard")), b)
@@ -125,7 +116,7 @@ def bob() -> Superoperator:
 
     cnot controlled by m2, controlled-z by m1, then discard both bits.
     """
-    b, bb, b3 = _b(), _b2(), _b3()
+    b, bb, b3 = _B, _B2, _B3
     cnot = lin2super(controlled(gate("qnot")))
     cz = lin2super(controlled(gate("z")))
     s = arr(lambda t: ((t[2], t[0]), t[1]), b3, product([bb, b]))
@@ -140,7 +131,7 @@ def bob() -> Superoperator:
 
 def teleport() -> Superoperator:
     """Identity channel on the third wire; wire order (eprL, eprR, q)."""
-    b, bb, b3 = _b(), _b2(), _b3()
+    b, bb, b3 = _B, _B2, _B3
     s = arr(lambda t: ((t[0], t[2]), t[1]), b3, product([bb, b]))
     s = s >> first(alice(), b)
     s = s >> arr(lambda t: (t[1], t[0][0], t[0][1]), product([bb, b]), b3)
@@ -154,18 +145,18 @@ def prepare_teleport_input(q: StateVector) -> DensityMatrix:
     if q.basis != bool_basis():
         raise ValueError("teleport transports a single qubit")
     amps = np.kron(named_state("epr").amplitudes, q.amplitudes)
-    return pure_density(StateVector(_b3(), amps))
+    return pure_density(StateVector(_B3, amps))
 
 
 def copy() -> Superoperator:
     """Share one wire onto two.  Copies classical data; entangles quantum data."""
-    return arr(lambda x: (x, x), _b(), _b2(), name="copy")
+    return arr(lambda x: (x, x), _B, _B2, name="copy")
 
 
 def weaken() -> Superoperator:
     """Silently forget the left wire.  Not physically realizable; kept as the
     counterexample showing why discards must go through the partial trace."""
-    return arr(lambda t: t[1], _b2(), _b(), name="weaken")
+    return arr(lambda t: t[1], _B2, _B, name="weaken")
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ Subcommands:
 * ``demo <name>``: run a catalog circuit on its documented default input.
 * ``laws``: run the twelve law suites and print the report table.
 
-Exit codes: 0 success, 2 parse/route diagnostics (printed to stderr),
-3 numerical validation failure, 1 law-suite failure.
+Exit codes: 0 success, 2 usage errors, unreadable files and parse/route
+diagnostics (printed to stderr), 3 numerical validation failure or a density
+too large for memory, 1 law-suite failure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="compile and run a circuit file")
     run_p.add_argument("file", help="path to a circuit description")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
-    run_p.add_argument("--precision", type=int, default=None,
+    run_p.add_argument("--precision", type=_precision, default=None,
                        help="decimals in the emitted density (text default: 4)")
     run_p.add_argument("--validate-input", action="store_true",
                        help="refuse inputs that are not unit-trace Hermitian PSD at tol 1e-6")
@@ -39,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo_p = sub.add_parser("demo", help="run a catalog circuit on its default input")
     demo_p.add_argument("name", choices=sorted(CATALOG))
     demo_p.add_argument("--format", choices=("text", "json"), default="text")
-    demo_p.add_argument("--precision", type=int, default=None)
+    demo_p.add_argument("--precision", type=_precision, default=None)
 
     laws_p = sub.add_parser("laws", help="run the monad and arrow law suites")
     laws_p.add_argument("--seed", type=_seed, default=42)
@@ -55,6 +56,13 @@ def _seed(text: str) -> int:
     return value
 
 
+def _precision(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("precision must be a non-negative integer")
+    return value
+
+
 def _emit_density(d: DensityMatrix, fmt: str, precision: int | None, out) -> None:
     if fmt == "json":
         print(json.dumps(to_json_dict(d, precision=precision)), file=out)
@@ -66,7 +74,7 @@ def _cmd_run(args, out, err) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=err)
         return 2
     try:
@@ -75,18 +83,23 @@ def _cmd_run(args, out, err) -> int:
     except CircuitError as exc:
         print(f"error: {exc}", file=err)
         return 2
-    rho = initial_density(ir)
-    if args.validate_input:
-        report = diagnostics(rho, tol=1e-6)
-        if not (report.hermitian and report.psd and report.unit_trace):
-            print(
-                f"error: input density failed validation "
-                f"(hermitian={report.hermitian} psd={report.psd} "
-                f"unit_trace={report.unit_trace} max_violation={report.max_violation:.3e})",
-                file=err,
-            )
-            return 3
-    _emit_density(routed.pipeline.apply(rho), args.format, args.precision, out)
+    try:
+        rho = initial_density(ir)
+        if args.validate_input:
+            report = diagnostics(rho, tol=1e-6)
+            if not (report.hermitian and report.psd and report.unit_trace):
+                print(
+                    f"error: input density failed validation "
+                    f"(hermitian={report.hermitian} psd={report.psd} "
+                    f"unit_trace={report.unit_trace} max_violation={report.max_violation:.3e})",
+                    file=err,
+                )
+                return 3
+        result = routed.apply(rho)
+    except MemoryError:
+        print(f"error: the density of a {len(ir.wires)}-wire circuit does not fit in memory", file=err)
+        return 3
+    _emit_density(result, args.format, args.precision, out)
     return 0
 
 

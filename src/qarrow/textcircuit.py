@@ -11,24 +11,28 @@ comments:
     measure <wire>                leaves the classical outcome on the wire
     discard <wire>                partial-traces the wire away
 
-Routing compiles each step into permutation lifts, ``first`` applications
-over the remaining wires, and partial traces: the glue one would otherwise
-write by hand.  The pipeline operates on the flat tuple of live wires;
-grouping into the binary pairs that ``first`` needs is done with pure
-re-indexing lifts, which row-major ordering makes exact identities.
+Routing compiles each step to one stage: the step's wires, in operand
+order, and a small channel on just those wires (the lifted gate or its
+controlled form, a one-wire decoherence for ``measure``, a partial trace
+for ``discard``).  This is the paper's ``first f`` = f (x) id read locally:
+the routed pipeline holds densities as tensors with a row and a column
+axis per live wire and contracts each stage with its own wires' axes, so
+no permutation or regrouping of the other wires is ever built.  The dense
+channel of the whole circuit is the same contraction run on every basis
+block, and is built only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .basis import Basis, bool_basis, product
+from .basis import Basis, BasisMismatchError, bool_basis, product
 from .density import DensityMatrix, pure_density
 from .linear import LinearOp, adjoint, controlled, gate
-from .superop import Superoperator, arr, first, identity_arr, lin2super, measure, permute_arr, trace_left
+from .superop import Superoperator, lin2super, measure, trace_left
 from .vector import StateVector, named_state
 
 
@@ -205,7 +209,10 @@ def parse_circuit(text: str) -> CircuitIR:
 
 @dataclass(frozen=True)
 class RoutedStage:
+    """One circuit step: ``op`` acts on ``wires``, in operand order, and on nothing else."""
+
     description: str
+    wires: tuple[str, ...]
     op: Superoperator
 
 
@@ -214,122 +221,82 @@ class RoutedPipeline:
     input_wires: tuple[str, ...]
     output_wires: tuple[str, ...]
     stages: tuple[RoutedStage, ...]
-    pipeline: Superoperator
+
+    def _run(self, batch: np.ndarray) -> np.ndarray:
+        """Push a batch of matrices over the input wires through every stage.
+
+        Each matrix is held with one row axis and one column axis per live
+        wire.  A stage contracts its ``op`` with its own wires' axes only,
+        which is ``first op`` read locally: every other axis passes through.
+        An ``op`` whose output basis has one label removes its wires.
+        """
+        n = batch.shape[0]
+        live = list(self.input_wires)
+        t = batch.reshape((n,) + (2,) * (2 * len(live)))
+        for stage in self.stages:
+            k = len(live)
+            axes = list(range(2 * k + 1))  # batch, then k row axes, then k column axes
+            pos = [live.index(w) for w in stage.wires]
+            j = stage.op.output_basis.size.bit_length() - 1  # len(pos), or 0 for a discard
+            fresh = list(range(2 * k + 1, 2 * k + 1 + 2 * j))
+            out = list(axes)
+            if j:
+                for i, p in enumerate(pos):
+                    out[1 + p], out[1 + k + p] = fresh[i], fresh[j + i]
+            else:
+                gone = {1 + p for p in pos} | {1 + k + p for p in pos}
+                out = [a for a in axes if a not in gone]
+                live = [w for w in live if w not in stage.wires]
+            op_axes = [1 + p for p in pos] + [1 + k + p for p in pos] + fresh
+            op = stage.op.matrix.reshape((2,) * len(op_axes))
+            t = np.einsum(t, axes, op, op_axes, out, optimize=True)
+        m = 2 ** len(live)
+        return t.reshape(n, m, m)
+
+    def apply(self, rho: DensityMatrix) -> DensityMatrix:
+        """Run the circuit on one density over the input wires."""
+        if rho.basis != _wire_basis(self.input_wires):
+            raise BasisMismatchError(f"routed circuit expects a density over wires {self.input_wires}")
+        return DensityMatrix(_wire_basis(self.output_wires), self._run(rho.matrix[None])[0])
+
+    @cached_property
+    def pipeline(self) -> Superoperator:
+        """The dense channel: the stages run on every basis block (a1, a2)."""
+        n = 2 ** len(self.input_wires)
+        m = 2 ** len(self.output_wires)
+        blocks = self._run(np.eye(n * n).reshape(n * n, n, n))
+        return Superoperator(_wire_basis(self.input_wires), _wire_basis(self.output_wires),
+                             blocks.reshape(n * n, m * m))
 
 
 def _wire_basis(names) -> Basis:
     return product([bool_basis() for _ in names])
 
 
-def _front_permutation(live: list[str], operands: tuple[str, ...]) -> tuple[tuple[int, ...], list[str]]:
-    order = list(operands) + [w for w in live if w not in operands]
-    return tuple(live.index(w) for w in order), order
-
-
-def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
-
-
-def _group_pair(j: int, k: int):
-    def fn(t):
-        head = t[0] if j == 1 else t[:j]
-        tail = t[j] if k - j == 1 else t[j:]
-        return (head, tail)
-
-    return fn
-
-
-def _ungroup_pair(j: int, k: int):
-    def fn(t):
-        head = (t[0],) if j == 1 else t[0]
-        tail = (t[1],) if k - j == 1 else t[1]
-        return head + tail
-
-    return fn
+_BOOL = bool_basis()
+# measure, then trace away the collapsed copy: decoherence of one wire
+_DECOHERE = measure(_BOOL) >> trace_left(product([_BOOL, _BOOL]))
+# trace one wire away, leaving the one-label unit basis
+_DISCARD = trace_left(product([_BOOL, Basis([()])]))
 
 
 def route(ir: CircuitIR) -> RoutedPipeline:
-    """Compile validated IR to a pipeline over the flat live-wire basis."""
+    """Compile validated IR to one stage per step, addressed by wire name."""
     live = list(ir.wires)
     stages: list[RoutedStage] = []
-
-    def emit(description: str, op: Superoperator) -> None:
-        stages.append(RoutedStage(description, op))
-
-    def to_front(operands: tuple[str, ...]) -> tuple[int, ...]:
-        perm, _ = _front_permutation(live, operands)
-        if perm != tuple(range(len(live))):
-            emit(f"route {','.join(operands)} to front", permute_arr(perm, _wire_basis(live)))
-        return perm
-
-    def from_front(perm: tuple[int, ...]) -> None:
-        if perm != tuple(range(len(live))):
-            emit("restore wire order", permute_arr(_inverse(perm), _wire_basis(live)))
-
     for step in ir.steps:
-        k = len(live)
         if isinstance(step, GateStep):
-            j = len(step.wires)
             base = gate_op(step.gate)
-            op = lin2super(controlled(base) if j == 2 else base)
-            perm = to_front(step.wires)
-            if j == k:
-                emit(f"apply {step.gate} on {','.join(step.wires)}", op)
-            else:
-                rest = _wire_basis(range(k - j))
-                flat = _wire_basis(range(k))
-                grouped_in = product([op.input_basis, rest])
-                grouped_out = product([op.output_basis, rest])
-                if k - j >= 2 or j >= 2:
-                    emit("group operands", arr(_group_pair(j, k), flat, grouped_in))
-                emit(f"apply {step.gate} on {','.join(step.wires)}", first(op, rest))
-                if k - j >= 2 or j >= 2:
-                    emit("ungroup operands", arr(_ungroup_pair(j, k), grouped_out, flat))
-            from_front(perm)
+            op = lin2super(controlled(base) if len(step.wires) == 2 else base)
+            stages.append(RoutedStage(f"apply {step.gate} on {','.join(step.wires)}", step.wires, op))
         elif isinstance(step, MeasureStep):
-            b = bool_basis()
-            if k == 1:
-                emit(f"measure {step.wire}", measure(b))
-                emit("drop collapsed copy", trace_left(product([b, b])))
-                continue
-            perm = to_front((step.wire,))
-            rest = _wire_basis(range(k - 1))
-            flat = _wire_basis(range(k))
-            grouped = product([b, rest])
-            if k >= 3:
-                emit("group operands", arr(_group_pair(1, k), flat, grouped))
-            emit(f"measure {step.wire}", first(measure(b), rest))
-            pair_b = product([b, b])
-            emit(
-                "expose collapsed copy",
-                arr(lambda t: (t[0][0], (t[0][1], t[1])),
-                    product([pair_b, rest]), product([b, product([b, rest])])),
-            )
-            emit("drop collapsed copy", trace_left(product([b, product([b, rest])])))
-            if k >= 3:
-                emit("ungroup operands", arr(_ungroup_pair(1, k), grouped, flat))
-            from_front(perm)
+            stages.append(RoutedStage(f"measure {step.wire}", (step.wire,), _DECOHERE))
         elif isinstance(step, DiscardStep):
-            b = bool_basis()
-            perm = to_front((step.wire,))
-            rest = _wire_basis(range(k - 1))
-            flat = _wire_basis(range(k))
-            if k >= 3:
-                emit("group operands", arr(_group_pair(1, k), flat, product([b, rest])))
-            emit(f"discard {step.wire}", trace_left(product([b, rest])))
+            stages.append(RoutedStage(f"discard {step.wire}", (step.wire,), _DISCARD))
             live.remove(step.wire)
         else:  # pragma: no cover - parse produces only the three step kinds
             raise TypeError(f"unknown step {step!r}")
-
-    pipeline: Superoperator | None = None
-    for stage in stages:
-        pipeline = stage.op if pipeline is None else pipeline >> stage.op
-    if pipeline is None:
-        pipeline = identity_arr(_wire_basis(ir.wires))
-    return RoutedPipeline(ir.wires, tuple(live), tuple(stages), pipeline)
+    return RoutedPipeline(ir.wires, tuple(live), tuple(stages))
 
 
 def initial_density(ir: CircuitIR) -> DensityMatrix:
@@ -349,14 +316,6 @@ def initial_density(ir: CircuitIR) -> DensityMatrix:
 
     concat_order = [w for chunk in chunks for w in chunk[0]]
     amps = reduce(np.kron, [chunk[1] for chunk in chunks])
-    basis = _wire_basis(ir.wires)
-    if concat_order != list(ir.wires):
-        src_basis = _wire_basis(concat_order)
-        slot = {w: i for i, w in enumerate(ir.wires)}
-        out = np.zeros(basis.size, dtype=complex)
-        for idx, label in enumerate(basis):
-            ordered = label if isinstance(label, tuple) else (label,)
-            src = tuple(ordered[slot[w]] for w in concat_order)
-            out[idx] = amps[src_basis.index_of(src if len(src) > 1 else src[0])]
-        amps = out
-    return pure_density(StateVector(basis, amps))
+    axes = [concat_order.index(w) for w in ir.wires]
+    amps = amps.reshape((2,) * len(axes)).transpose(axes).reshape(-1)
+    return pure_density(StateVector(_wire_basis(ir.wires), amps))

@@ -1,8 +1,10 @@
 import io
 import json
+import os
 from importlib import resources
 
 import numpy as np
+import pytest
 
 import qarrow
 from qarrow.basis import bool_basis, product
@@ -112,3 +114,54 @@ def test_laws_seed_must_be_64_bit_unsigned():
 def test_unknown_subcommand_exits_2():
     code, _, _ = run_cli(["frobnicate"])
     assert code == 2
+
+
+def test_negative_precision_is_a_usage_error(tmp_path, capsys):
+    for argv in (["run", bundled_path("teleport.qc")],
+                 ["run", bundled_path("teleport.qc"), "--format", "json"],
+                 ["demo", "teleport"]):
+        code, out, _ = run_cli(argv + ["--precision", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "precision must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_zero_precision_is_accepted():
+    code, out, err = run_cli(["run", bundled_path("teleport.qc"), "--precision", "0"])
+    assert code == 0, err
+    assert "0+0j" in out
+
+
+def test_run_non_utf8_file_exits_2(tmp_path):
+    bad = tmp_path / "latin1.qc"
+    bad.write_bytes("wires q\n# caf\xe9\n".encode("latin-1"))
+    code, out, err = run_cli(["run", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}")
+
+
+def test_run_ten_wires_matches_the_ghz_state(tmp_path):
+    names = [f"w{i}" for i in range(10)]
+    circuit = tmp_path / "ghz10.qc"
+    circuit.write_text("wires " + " ".join(names) + f"\ngate H {names[0]}\n"
+                       + "".join(f"cgate X {a} {b}\n" for a, b in zip(names, names[1:])),
+                       encoding="utf-8")
+    code, out, err = run_cli(["run", str(circuit), "--format", "json"])
+    assert code == 0, err
+    density = from_json_dict(json.loads(out))
+    expected = np.zeros((1024, 1024))
+    expected[np.ix_([0, 1023], [0, 1023])] = 0.5
+    assert float(np.max(np.abs(density.matrix - expected))) < 1e-12
+
+
+@pytest.mark.skipif(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") >= 64 * 2 ** 30,
+                    reason="a 68 GB density might really be allocated here")
+def test_run_too_many_wires_exits_3(tmp_path):
+    names = " ".join(f"w{i}" for i in range(16))
+    circuit = tmp_path / "wide.qc"
+    circuit.write_text(f"wires {names}\ngate H w0\n", encoding="utf-8")
+    code, out, err = run_cli(["run", str(circuit)])
+    assert code == 3
+    assert out == ""
+    assert "16-wire" in err and "does not fit in memory" in err

@@ -2,19 +2,34 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qarrow
+from qarrow import superop
 from qarrow.basis import bool_basis, product
 from qarrow.circuits import teleport, toffoli_super
-from qarrow.density import DensityMatrix, max_abs_diff, pure_density
-from qarrow.linear import gate
-from qarrow.superop import extensional_equal, lin2super
+from qarrow.density import max_abs_diff, pure_density
+from qarrow.linear import controlled, gate
+from qarrow.superop import (
+    arr,
+    extensional_equal,
+    first,
+    identity_arr,
+    lin2super,
+    measure,
+    permute_arr,
+    trace_left,
+)
 from qarrow.textcircuit import (
+    GATE_NAMES,
+    STATE_NAMES,
     CircuitError,
     DiscardStep,
     GateStep,
     MeasureStep,
     StateInit,
+    gate_op,
     initial_density,
     parse_circuit,
     route,
@@ -112,21 +127,35 @@ def test_gate_order_is_respected():
     assert report.max_diff > 0.1
 
 
-def test_permutation_stages_are_exact_permutation_channels():
-    ir = parse_circuit("wires a b c\ncgate X c a\nmeasure b\ndiscard c\n")
+def test_each_step_routes_to_one_stage_on_its_own_wires():
+    ir = parse_circuit("wires a b c\ncgate X c a\nmeasure b\ndiscard c\ngate H a\n")
     routed = route(ir)
-    perm_stages = [s for s in routed.stages if "route" in s.description or "restore" in s.description]
-    assert perm_stages
-    for stage in perm_stages:
+    assert [s.description for s in routed.stages] == [
+        "apply X on c,a", "measure b", "discard c", "apply H on a"]
+    assert [s.wires for s in routed.stages] == [("c", "a"), ("b",), ("c",), ("a",)]
+    for stage in routed.stages:
         m = stage.op.matrix
-        assert set(np.unique(m)) <= {0.0 + 0.0j, 1.0 + 0.0j}
-        assert (m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()
-        # dyadic entries make trace and hermiticity preservation exact
-        n = stage.op.input_basis.size
-        src = DensityMatrix(stage.op.input_basis, np.diag(np.arange(1, n + 1) / 16.0))
-        out = stage.op.apply(src)
-        assert out.trace() == src.trace()
-        assert (out.matrix == out.matrix.conj().T).all()
+        assert stage.op.input_basis.size == 2 ** len(stage.wires)
+        assert not (m.shape[0] == m.shape[1] and np.array_equal(m, np.eye(m.shape[0])))
+    assert np.array_equal(routed.stages[1].op.matrix, np.diag([1, 0, 0, 1]))
+    assert routed.stages[2].op.output_basis.size == 1
+
+
+def test_ghz5_routes_to_five_stages():
+    text = "wires a b c d e\ngate H a\n" + "".join(
+        f"cgate X {c} {t}\n" for c, t in zip("abcd", "bcde"))
+    assert len(route(parse_circuit(text)).stages) == 5
+
+
+def test_running_a_circuit_makes_no_compose_call(monkeypatch):
+    ir = parse_circuit("wires a b c\ninit a FT\ncgate X a b\nmeasure a\ndiscard b\ngate H c\n")
+
+    def refuse(*args):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(superop, "compose", refuse)
+    out = route(ir).apply(initial_density(ir))
+    assert abs(out.trace() - 1) < 1e-12
 
 
 def test_routed_pipeline_bases_match_the_wire_lists():
@@ -219,3 +248,100 @@ def test_measure_keeps_the_wire_alive_for_later_control():
     out = routed.pipeline.apply(initial_density(ir))
     expected = pure_density(unit(product([B, B]), (True, True)))
     assert max_abs_diff(out, expected) < 1e-12
+
+
+# Differential check: the routed kernel against a dense oracle built from the
+# paper's combinators, with every wire shuffle and regrouping spelled out.
+
+def _wires_basis(k):
+    return product([B] * k)
+
+
+def _part(t):
+    return t if len(t) > 1 else t[0]
+
+
+def _flat(x):
+    return x if isinstance(x, tuple) else (x,)
+
+
+def _shuffle(perm):
+    return permute_arr(perm, _wires_basis(len(perm))) if len(perm) > 1 else identity_arr(B)
+
+
+def _split(j, k):
+    """Regroup flat k-tuples into the pair (first j wires, other wires)."""
+    return arr(lambda t: (_part(t[:j]), _part(t[j:])), _wires_basis(k),
+               product([_wires_basis(j), _wires_basis(k - j)]))
+
+
+def _oracle_step(op, operands, live):
+    """``op`` on ``operands`` and the identity elsewhere; ``None`` discards."""
+    k, j = len(live), len(operands)
+    perm = [live.index(w) for w in operands] + [i for i, w in enumerate(live) if w not in operands]
+    if op is None:
+        return _shuffle(perm) >> _split(1, k) >> trace_left(product([B, _wires_basis(k - 1)]))
+    body = op
+    if j < k:
+        rest = _wires_basis(k - j)
+        body = _split(j, k) >> first(op, rest) >> arr(
+            lambda t: _flat(t[0]) + _flat(t[1]), product([op.output_basis, rest]), _wires_basis(k))
+    inverse = [perm.index(i) for i in range(k)]
+    return _shuffle(perm) >> body >> _shuffle(inverse)
+
+
+def _oracle(ir):
+    live = list(ir.wires)
+    s = identity_arr(_wires_basis(len(live)))
+    for step in ir.steps:
+        if isinstance(step, GateStep):
+            base = gate_op(step.gate)
+            op = lin2super(controlled(base) if len(step.wires) == 2 else base)
+            s = s >> _oracle_step(op, step.wires, live)
+        elif isinstance(step, MeasureStep):
+            s = s >> _oracle_step(measure(B) >> trace_left(product([B, B])), (step.wire,), live)
+        else:
+            s = s >> _oracle_step(None, (step.wire,), live)
+            live.remove(step.wire)
+    return s
+
+
+@st.composite
+def circuit_texts(draw):
+    k = draw(st.integers(1, 4))
+    wires = [f"w{i}" for i in range(k)]
+    lines = ["wires " + " ".join(wires)]
+    shuffled = draw(st.permutations(wires))
+    if k >= 2 and draw(st.booleans()):
+        lines.append(f"init {shuffled[0]} {shuffled[1]} epr")
+        shuffled = shuffled[2:]
+    for w in shuffled:
+        lines.append(f"init {w} {draw(st.sampled_from(sorted(STATE_NAMES)))}")
+    live = list(wires)
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["gate", "cgate", "measure", "discard"]))
+        if len(live) < 2 and kind in ("cgate", "discard"):
+            kind = "gate"
+        pick = draw(st.permutations(live))
+        g = draw(st.sampled_from(GATE_NAMES))
+        if kind == "gate":
+            lines.append(f"gate {g} {pick[0]}")
+        elif kind == "cgate":
+            lines.append(f"cgate {g} {pick[0]} {pick[1]}")
+        else:
+            lines.append(f"{kind} {pick[0]}")
+            if kind == "discard":
+                live.remove(pick[0])
+    return "\n".join(lines) + "\n"
+
+
+@given(circuit_texts())
+def test_routed_kernel_matches_the_dense_combinator_oracle(text):
+    ir = parse_circuit(text)
+    routed = route(ir)
+    rho = initial_density(ir)
+    out = routed.apply(rho)
+    expected = _oracle(ir).apply(rho)
+    assert out.basis == expected.basis
+    assert max_abs_diff(out, expected) <= 1e-12
+    assert max_abs_diff(routed.pipeline.apply(rho), out) <= 1e-12
