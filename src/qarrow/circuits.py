@@ -2,7 +2,9 @@
 
 The three-wire doubly-controlled-not is built twice: once as a single linear
 operator in continuation style (each basis element threaded through the
-seven-gate sequence), and once as an arrow pipeline of lifted gates glued by
+seven-gate sequence, one ``bind`` per gate; monad associativity makes this
+the same operator as the do-block with every gate nested in the previous
+one's continuation), and once as an arrow pipeline of lifted gates glued by
 explicit permutations.  The two constructions must agree, which the test
 suite checks against an independently multiplied gate-matrix oracle.
 
@@ -17,6 +19,7 @@ silently forgetting is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -36,27 +39,49 @@ _B3 = product([_B, _B, _B])
 def toffoli_lin() -> LinearOp:
     """The 8x8 operator for wire order (top, middle, bottom).
 
-    Continuation style: hadamard on bottom, controlled-phase middle->bottom,
-    cnot top->middle, controlled-adjoint-phase middle->bottom, cnot
-    top->middle, controlled-phase top->bottom, hadamard on bottom.
+    Continuation style: each basis element is threaded through hadamard on
+    bottom, controlled-phase middle->bottom, cnot top->middle,
+    controlled-adjoint-phase middle->bottom, cnot top->middle,
+    controlled-phase top->bottom, hadamard on bottom.  Each gate is a step
+    operator built with one ``bind`` per label, and a row binds the seven
+    steps left to right.  By monad associativity,
+    ``(v >>= f) >>= g = v >>= (λa. f a >>= g)``, this equals the do-block
+    that nests every gate in the previous one's continuation, but it does not
+    re-run the later gates for every intermediate label.
     """
     h = gate("hadamard")
     cnot = controlled(gate("qnot"))
     cphase = controlled(gate("phase"))
     caphase = controlled(adjoint(gate("phase")))
+    steps = [
+        _on_wires(h, (2,)),
+        _on_wires(cphase, (1, 2)),
+        _on_wires(cnot, (0, 1)),
+        _on_wires(caphase, (1, 2)),
+        _on_wires(cnot, (0, 1)),
+        _on_wires(cphase, (0, 2)),
+        _on_wires(h, (2,)),
+    ]
+    return from_rows(lambda label: reduce(bind, steps, _unit3(label)), _B3, name="toffoli")
 
+
+def _on_wires(op: LinearOp, wires: tuple[int, ...]) -> LinearOp:
+    """``op`` on the given wires of a 3-wire label, the other wires carried.
+
+    A one-wire ``op`` takes and returns a bare label; a two-wire one a pair.
+    """
     def row(label: tuple) -> StateVector:
-        top, middle, bottom = label
-        return bind(h.row(bottom), lambda b1:
-               bind(cphase.row((middle, b1)), lambda mb:
-               bind(cnot.row((top, mb[0])), lambda tm:
-               bind(caphase.row((tm[1], mb[1])), lambda mb2:
-               bind(cnot.row((tm[0], mb2[0])), lambda tm2:
-               bind(cphase.row((tm2[0], mb2[1])), lambda tb:
-               bind(h.row(tb[1]), lambda b5:
-               _unit3((tb[0], tm2[1], b5)))))))))
+        args = label[wires[0]] if len(wires) == 1 else tuple(label[w] for w in wires)
 
-    return from_rows(row, _B3, name="toffoli")
+        def put(out) -> StateVector:
+            new = list(label)
+            for w, value in zip(wires, (out,) if len(wires) == 1 else out):
+                new[w] = value
+            return _unit3(tuple(new))
+
+        return bind(op.row(args), put)
+
+    return from_rows(row, _B3)
 
 
 def _unit3(label: tuple) -> StateVector:

@@ -116,8 +116,13 @@ def to_json_dict(d: DensityMatrix, precision: int | None = None) -> dict:
     """JSON-ready payload: {basis: [labels], re: [[..]], im: [[..]]}.
 
     With ``precision`` set, entries are rounded to that many decimals so the
-    emitted file parses back bit-for-bit at the stated precision.
+    emitted file parses back bit-for-bit at the stated precision.  Labels
+    must be built from bools, strings and non-empty tuples, and a string
+    must not read as another label: ``F``, ``T``, the empty string, text
+    with ``,``, ``(`` or ``)``, or with surrounding whitespace raise
+    ``ValueError`` rather than come back changed from :func:`from_json_dict`.
     """
+    _require_json_labels(d.basis)
     re = d.matrix.real
     im = d.matrix.imag
     if precision is not None:
@@ -128,6 +133,36 @@ def to_json_dict(d: DensityMatrix, precision: int | None = None) -> dict:
         "re": re.tolist(),
         "im": im.tolist(),
     }
+
+
+_LABEL_SYNTAX = frozenset(",()")
+
+
+def _require_json_labels(basis: Basis) -> None:
+    """Raise unless every label of ``basis`` parses back from its text.
+
+    A product basis is checked through its factors, whose labels are the
+    components of its tuples, so k bool wires cost 2k checks, not 2^k.
+    """
+    if basis.factors is not None:
+        for factor in basis.factors:
+            _require_json_labels(factor)
+        return
+    for label in basis:
+        _require_json_label(label, label)
+
+
+def _require_json_label(label: Label, whole: Label) -> None:
+    if label is True or label is False:
+        return
+    if isinstance(label, tuple) and label:
+        for part in label:
+            _require_json_label(part, whole)
+        return
+    if (isinstance(label, str) and label and label not in ("F", "T")
+            and label == label.strip() and _LABEL_SYNTAX.isdisjoint(label)):
+        return
+    raise ValueError(f"basis label {whole!r} would not parse back from its JSON text (at {label!r})")
 
 
 def from_json_dict(payload: dict) -> DensityMatrix:

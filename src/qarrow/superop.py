@@ -134,14 +134,25 @@ def first(s: Superoperator, carried: Basis) -> Superoperator:
 
 
 def second(s: Superoperator, carried: Basis) -> Superoperator:
-    """Act on the right pair component: swap in, ``first``, swap out."""
-    swap_in = arr(lambda t: (t[1], t[0]), product([carried, s.input_basis]),
-                  product([s.input_basis, carried]), name="arr(swap)")
-    swap_out = arr(lambda t: (t[1], t[0]), product([s.output_basis, carried]),
-                   product([carried, s.output_basis]), name="arr(swap)")
-    out = swap_in >> first(s, carried) >> swap_out
-    out.name = f"second({s.name})" if s.name else "second"
-    return out
+    """Act on the right pair component, carrying the left one unchanged.
+
+    Input basis is (carried x s.input); ``first`` with the carried indices
+    on the left.
+    """
+    n_a = s.input_basis.size
+    n_b = s.output_basis.size
+    n_d = carried.size
+    blocks = s.matrix.reshape(n_a, n_a, n_b, n_b)
+    eye = np.eye(n_d)
+    # indices: d1,a1,d2,a2 -> e1,b1,e2,b2
+    m = np.einsum("ijkl,mn,op->miojnkpl", blocks, eye, eye)
+    m = m.reshape((n_d * n_a) ** 2, (n_d * n_b) ** 2)
+    return Superoperator(
+        product([carried, s.input_basis]),
+        product([carried, s.output_basis]),
+        m,
+        name=f"second({s.name})" if s.name else "second",
+    )
 
 
 def parallel(s: Superoperator, t: Superoperator) -> Superoperator:

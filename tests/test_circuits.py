@@ -9,6 +9,7 @@ both library constructions.
 import numpy as np
 import pytest
 
+import qarrow.circuits
 from qarrow.basis import bool_basis, product
 from qarrow.circuits import (
     CATALOG,
@@ -23,9 +24,9 @@ from qarrow.circuits import (
 )
 from qarrow.density import DensityMatrix, diagnostics, max_abs_diff, pure_density
 from qarrow.laws import SeededGenerator
-from qarrow.linear import fun2lin
+from qarrow.linear import adjoint, controlled, from_rows, fun2lin, gate
 from qarrow.superop import arr, compose, extensional_equal, lin2super, trace_left
-from qarrow.vector import StateVector, named_state, unit
+from qarrow.vector import StateVector, bind, named_state, unit
 
 B = bool_basis()
 BB = product([B, B])
@@ -62,6 +63,28 @@ def oracle_toffoli_matrix():
     return u
 
 
+def nested_toffoli_lin():
+    """The do-block with every later gate bound inside the previous one's
+    continuation: 21,848 binds, kept as a differential oracle."""
+    h = gate("hadamard")
+    cnot = controlled(gate("qnot"))
+    cphase = controlled(gate("phase"))
+    caphase = controlled(adjoint(gate("phase")))
+
+    def row(label):
+        top, middle, bottom = label
+        return bind(h.row(bottom), lambda b1:
+               bind(cphase.row((middle, b1)), lambda mb:
+               bind(cnot.row((top, mb[0])), lambda tm:
+               bind(caphase.row((tm[1], mb[1])), lambda mb2:
+               bind(cnot.row((tm[0], mb2[0])), lambda tm2:
+               bind(cphase.row((tm2[0], mb2[1])), lambda tb:
+               bind(h.row(tb[1]), lambda b5:
+               unit(B3, (tb[0], tm2[1], b5)))))))))
+
+    return from_rows(row, B3, name="toffoli")
+
+
 def toffoli_fn(label):
     a, b, c = label
     return (a, b, c != (a and b))
@@ -74,6 +97,24 @@ def flat3(v1, v2, v3):
 def test_toffoli_lin_matches_the_multiplied_component_matrices():
     # rows-per-input convention is the transpose of the column convention
     assert float(np.max(np.abs(toffoli_lin().matrix - oracle_toffoli_matrix().T))) < 1e-12
+
+
+def test_toffoli_lin_matches_the_nested_do_block():
+    assert float(np.max(np.abs(toffoli_lin().matrix - nested_toffoli_lin().matrix))) < 1e-12
+
+
+def test_toffoli_lin_binds_once_per_gate_and_label(monkeypatch):
+    calls = 0
+
+    def counting_bind(v, f):
+        nonlocal calls
+        calls += 1
+        return bind(v, f)
+
+    monkeypatch.setattr(qarrow.circuits, "bind", counting_bind)
+    toffoli_lin()
+    # 7 step operators x 8 labels, then 7 steps x 8 rows; the nested block makes 21,848
+    assert calls <= 200
 
 
 @pytest.mark.parametrize(

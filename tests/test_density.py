@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qarrow.basis import BasisMismatchError, bool_basis, product
+from qarrow.basis import Basis, BasisMismatchError, bool_basis, product
 from qarrow.density import (
     DensityMatrix,
     diagnostics,
@@ -107,6 +107,39 @@ def test_json_round_trip_at_precision_is_bit_for_bit():
     back = from_json_dict(payload)
     rounded = np.round(d.matrix.real, 4) + 1j * np.round(d.matrix.imag, 4)
     assert np.array_equal(back.matrix, rounded)
+
+
+def _round_trip(basis):
+    d = DensityMatrix(basis, np.eye(basis.size) / basis.size)
+    return from_json_dict(json.loads(json.dumps(to_json_dict(d))))
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        B,
+        product([B, B, B]),
+        product([product([B, B]), B]),
+        Basis(["up", "down", "a b", "FT", "t"]),
+        product([B, Basis(["x", "y"])]),
+        Basis([(("a", True), "b"), (("a", False), "c")]),
+    ],
+    ids=["bool", "bool-triple", "nested-tuple", "strings", "bool-by-string", "mixed"],
+)
+def test_json_labels_round_trip(basis):
+    assert _round_trip(basis).basis.labels == basis.labels
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["F", "T", "", "a,b", "(a", "a)", " a", "a ", "\ta", 3, ()],
+)
+def test_json_labels_that_would_not_parse_back_raise(label):
+    # inside a plain basis and as a tuple component under a product
+    for basis in (Basis(["ok", label]), product([B, Basis(["ok", label])])):
+        with pytest.raises(ValueError, match="would not parse back") as info:
+            to_json_dict(DensityMatrix(basis, np.eye(basis.size)))
+        assert repr(label) in str(info.value)
 
 
 def test_format_table_shows_labels_and_values():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qarrow.basis import BasisMismatchError, bool_basis, product
+from qarrow.basis import Basis, BasisMismatchError, bool_basis, product
 from qarrow.density import DensityMatrix, max_abs_diff, pure_density, zero_density
 from qarrow.linear import compose as compose_lin, controlled, gate, identity, lin_tensor
 from qarrow.superop import (
@@ -256,6 +256,20 @@ def test_first_second_coherence():
     lhs = compose(first(s, B), swap_out)
     rhs = compose(swap_in, second(s, B))
     assert max_difference(lhs, rhs) < 1e-12
+
+
+def test_second_is_first_between_swaps_on_unequal_sizes():
+    # distinct carried, input and output sizes catch any index mix-up
+    s = trace_left(product([Basis(["x", "y", "z"]), B]))
+    carried = Basis(["u", "v", "w", "q", "r"])
+    swap_in = arr(lambda t: (t[1], t[0]), product([carried, s.input_basis]),
+                  product([s.input_basis, carried]))
+    swap_out = arr(lambda t: (t[1], t[0]), product([s.output_basis, carried]),
+                   product([carried, s.output_basis]))
+    expected = swap_in >> first(s, carried) >> swap_out
+    out = second(s, carried)
+    assert (out.input_basis, out.output_basis) == (expected.input_basis, expected.output_basis)
+    assert max_difference(out, expected) == 0
 
 
 def test_block_access():

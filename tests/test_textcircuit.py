@@ -2,7 +2,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qarrow
@@ -345,3 +345,34 @@ def test_routed_kernel_matches_the_dense_combinator_oracle(text):
     assert out.basis == expected.basis
     assert max_abs_diff(out, expected) <= 1e-12
     assert max_abs_diff(routed.pipeline.apply(rho), out) <= 1e-12
+
+
+_DIRECTIVES = st.sampled_from(["wires", "init", "gate", "cgate", "measure", "discard"])
+_WORDS = st.sampled_from(["a", "b", "c", "w0", "epr", "#"] + sorted(STATE_NAMES) + list(GATE_NAMES))
+_TOKENS = st.one_of(
+    _DIRECTIVES,
+    _WORDS,
+    st.integers(-3, 10**6).map(str),
+    st.text(min_size=1, max_size=4),
+)
+_LINE = st.one_of(
+    st.lists(_TOKENS, max_size=5).map(" ".join),
+    # a directive followed by plausible operands reaches the per-directive checks
+    st.tuples(_DIRECTIVES, st.lists(_WORDS, max_size=3)).map(lambda d: " ".join([d[0], *d[1]])),
+)
+# a well-formed header two times in three, so the later directives get parsed too
+_CIRCUIT_STREAMS = st.tuples(
+    st.sampled_from(["", "wires a b c\n", "wires a\n"]),
+    st.lists(_LINE, max_size=8).map("\n".join),
+).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CIRCUIT_STREAMS)
+def test_parse_circuit_raises_only_circuit_errors_on_token_streams(text):
+    try:
+        ir = parse_circuit(text)
+    except CircuitError:
+        return
+    # a stream that parses must also route
+    assert route(ir).output_wires
