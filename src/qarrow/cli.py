@@ -148,3 +148,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -116,11 +116,12 @@ def to_json_dict(d: DensityMatrix, precision: int | None = None) -> dict:
     """JSON-ready payload: {basis: [labels], re: [[..]], im: [[..]]}.
 
     With ``precision`` set, entries are rounded to that many decimals so the
-    emitted file parses back bit-for-bit at the stated precision.  Labels
-    must be built from bools, strings and non-empty tuples, and a string
-    must not read as another label: ``F``, ``T``, the empty string, text
-    with ``,``, ``(`` or ``)``, or with surrounding whitespace raise
-    ``ValueError`` rather than come back changed from :func:`from_json_dict`.
+    emitted file parses back bit-for-bit at the stated precision.  A label
+    whose text would not parse back to it raises ``ValueError`` rather than
+    come back changed from :func:`from_json_dict`: ``F``, ``T``, the empty
+    string, text with ``,`` or ``)``, text that opens with ``(`` or has
+    surrounding whitespace, the empty tuple, and any atom that is neither
+    a bool nor a string.
     """
     _require_json_labels(d.basis)
     re = d.matrix.real
@@ -135,9 +136,6 @@ def to_json_dict(d: DensityMatrix, precision: int | None = None) -> dict:
     }
 
 
-_LABEL_SYNTAX = frozenset(",()")
-
-
 def _require_json_labels(basis: Basis) -> None:
     """Raise unless every label of ``basis`` parses back from its text.
 
@@ -149,20 +147,12 @@ def _require_json_labels(basis: Basis) -> None:
             _require_json_labels(factor)
         return
     for label in basis:
-        _require_json_label(label, label)
-
-
-def _require_json_label(label: Label, whole: Label) -> None:
-    if label is True or label is False:
-        return
-    if isinstance(label, tuple) and label:
-        for part in label:
-            _require_json_label(part, whole)
-        return
-    if (isinstance(label, str) and label and label not in ("F", "T")
-            and label == label.strip() and _LABEL_SYNTAX.isdisjoint(label)):
-        return
-    raise ValueError(f"basis label {whole!r} would not parse back from its JSON text (at {label!r})")
+        try:
+            parses_back = parse_label(label_text(label)) == label
+        except ValueError:
+            parses_back = False
+        if not parses_back:
+            raise ValueError(f"basis label {label!r} would not parse back from its JSON text")
 
 
 def from_json_dict(payload: dict) -> DensityMatrix:

@@ -3,7 +3,10 @@
 The three monad equations and the nine arrow equations are checked
 numerically: each law becomes one :class:`LawReport` giving the number of
 quantifier instances tried, the largest residual seen, and a description of
-the worst instance.  Quantification runs over a curated operator pool plus
+the worst instance.  Each law is one generator of ``(residual, witness)``
+instances with the two sides of its equation side by side, and a witness
+is turned into text only for the worst case: when its instance is the
+worst seen so far.  Quantification runs over a curated operator pool plus
 seeded random vectors, operators and classical functions, so a report is a
 deterministic function of (seed, pool, tolerance).
 
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -106,27 +110,27 @@ def default_pool() -> list[Superoperator]:
     ]
 
 
-class _Tracker:
-    """Accumulates the residual and worst-case witness for one law."""
+def _law(name: str, tol: float, instances: Iterable[tuple[float, tuple]]) -> LawReport:
+    """Report one law from its ``(residual, witness)`` instances.
 
-    def __init__(self) -> None:
-        self.cases = 0
-        self.max_residual = 0.0
-        self.worst = "none"
-
-    def record(self, residual: float, witness: str) -> None:
-        self.cases += 1
-        if residual > self.max_residual or self.cases == 1:
-            self.max_residual = residual
-            self.worst = witness
-
-    def report(self, name: str, tol: float) -> LawReport:
-        return LawReport(name, self.cases, self.max_residual,
-                         self.max_residual <= tol, tol, self.worst)
+    A witness is ``(render, *values)`` with the values captured when its
+    instance is drawn; ``render(*values)`` builds the text only for an
+    instance that is the worst seen so far.
+    """
+    cases, max_residual, worst = 0, 0.0, "none"
+    for residual, (render, *values) in instances:
+        cases += 1
+        if residual > max_residual or cases == 1:
+            max_residual, worst = residual, render(*values)
+    return LawReport(name, cases, max_residual, max_residual <= tol, tol, worst)
 
 
 def _vec_residual(v: StateVector, w: StateVector) -> float:
     return float(np.max(np.abs(v.amplitudes - w.amplitudes)))
+
+
+def _label_witness(x: Label, basis: Basis, case: int) -> str:
+    return f"x={label_text(x)} over {basis!r}, case {case}"
 
 
 def check_monad_laws(gen: SeededGenerator | None = None,
@@ -144,48 +148,43 @@ def check_monad_laws(gen: SeededGenerator | None = None,
     gen = gen or SeededGenerator()
     bases = list(bases) if bases is not None else default_bases()
 
-    left = _Tracker()
-    for basis in bases:
-        for case in range(n_cases):
+    def left_identity():
+        # unit x >>= f  ==  f x
+        for basis, case in itertools.product(bases, range(n_cases)):
             f = gen.linear(basis, gen.pick(bases))
             for x in basis:
-                res = _vec_residual(bind_fn(vector.unit(basis, x), f), f.row(x))
-                left.record(res, f"x={label_text(x)} over {basis!r}, case {case}")
+                yield (_vec_residual(bind_fn(vector.unit(basis, x), f), f.row(x)),
+                       (_label_witness, x, basis, case))
 
-    right = _Tracker()
-    for basis in bases:
-        ident = vector.unit  # return as a continuation
-        for case in range(n_cases):
+    def right_identity():
+        # v >>= unit  ==  v
+        for basis, case in itertools.product(bases, range(n_cases)):
             v = gen.vector(basis)
-            res = _vec_residual(bind_fn(v, lambda a: ident(basis, a)), v)
-            right.record(res, f"random vector over {basis!r}, case {case}")
+            yield (_vec_residual(bind_fn(v, partial(vector.unit, basis)), v),
+                   ("random vector over {!r}, case {}".format, basis, case))
 
-    assoc = _Tracker()
-    for basis in bases:
-        for case in range(n_cases):
+    def associativity():
+        # (v >>= f) >>= g  ==  v >>= (\a -> f a >>= g)
+        for basis, case in itertools.product(bases, range(n_cases)):
             mid = gen.pick(bases)
             out = gen.pick(bases)
             v = gen.vector(basis)
             f = gen.linear(basis, mid)
             g = gen.linear(mid, out)
-            lhs = bind_fn(bind_fn(v, f), g)
-            rhs = bind_fn(v, lambda a: bind_fn(f.row(a), g))
-            assoc.record(_vec_residual(lhs, rhs),
-                         f"{basis!r}->{mid!r}->{out!r}, case {case}")
+            yield (_vec_residual(bind_fn(bind_fn(v, f), g),
+                                 bind_fn(v, lambda a: bind_fn(f.row(a), g))),
+                   ("{!r}->{!r}->{!r}, case {}".format, basis, mid, out, case))
 
     return [
-        left.report("monad/left-identity", tol),
-        right.report("monad/right-identity", tol),
-        assoc.report("monad/associativity", tol),
+        _law("monad/left-identity", tol, left_identity()),
+        _law("monad/right-identity", tol, right_identity()),
+        _law("monad/associativity", tol, associativity()),
     ]
 
 
-def _compare(track: _Tracker, lhs: Superoperator, rhs: Superoperator, witness: str) -> None:
-    track.record(max_difference(lhs, rhs), witness)
-
-
-def _id_times(fn: Callable[[Label], Label]) -> Callable[[Label], Label]:
-    return lambda t: (t[0], fn(t[1]))
+def _id_times(fn: Callable[[Label], Label], left: Basis, src: Basis, dst: Basis) -> Superoperator:
+    """arr (id x fn) from ``left x src`` to ``left x dst``."""
+    return arr(lambda t: (t[0], fn(t[1])), product([left, src]), product([left, dst]))
 
 
 def check_arrow_laws(gen: SeededGenerator | None = None,
@@ -206,97 +205,79 @@ def check_arrow_laws(gen: SeededGenerator | None = None,
     bb = product([b, b])
     fn_bases = [b, bb, Basis(("r", "g", "b"))]
 
+    pairs = [(f, g) for f, g in itertools.product(pool, repeat=2) if f.output_basis == g.input_basis]
+    triples = [(f, g, h) for f, g in pairs for h in pool if g.output_basis == h.input_basis]
+    shapes = [(s.input_basis.size, s.output_basis.size) for s in pool]
+    if not triples:
+        raise ValueError(f"arrow/associativity: pool contains no composable triple; shapes are {shapes}")
+    if not pairs:
+        raise ValueError(f"arrow/first-composes: pool contains no composable pair; shapes are {shapes}")
+
     def name_of(s: Superoperator) -> str:
         return s.name or repr(s)
 
-    left_id = _Tracker()
-    right_id = _Tracker()
-    for f in pool:
-        _compare(left_id, identity_arr(f.input_basis) >> f, f, f"f={name_of(f)}")
-        _compare(right_id, f >> identity_arr(f.output_basis), f, f"f={name_of(f)}")
+    def arr_composes():
+        # arr (g . f)  ==  arr f >>> arr g
+        for _ in range(n_random):
+            src = gen.pick(fn_bases)
+            mid = gen.pick(fn_bases)
+            dst = gen.pick(fn_bases)
+            fn_f, desc_f = gen.mapping(src, mid)
+            fn_g, desc_g = gen.mapping(mid, dst)
+            yield (max_difference(arr(lambda x: fn_g(fn_f(x)), src, dst),
+                                  arr(fn_f, src, mid) >> arr(fn_g, mid, dst)),
+                   ("f={}, g={}".format, desc_f, desc_g))
 
-    assoc = _Tracker()
-    for f, g, h in itertools.product(pool, repeat=3):
-        if f.output_basis != g.input_basis or g.output_basis != h.input_basis:
-            continue
-        _compare(assoc, (f >> g) >> h, f >> (g >> h),
-                 f"f={name_of(f)}, g={name_of(g)}, h={name_of(h)}")
-    if assoc.cases == 0:
-        raise ValueError(
-            "arrow/associativity: pool contains no composable triple; "
-            f"shapes are {[(s.input_basis.size, s.output_basis.size) for s in pool]}"
-        )
+    def first_arr():
+        # first (arr f)  ==  arr (f x id)
+        for _ in range(n_random):
+            src = gen.pick(fn_bases)
+            dst = gen.pick(fn_bases)
+            carried = gen.pick([b, bb])
+            fn, desc = gen.mapping(src, dst)
+            yield (max_difference(first_fn(arr(fn, src, dst), carried),
+                                  arr(lambda t: (fn(t[0]), t[1]),
+                                      product([src, carried]), product([dst, carried]))),
+                   ("f={}, carried size {}".format, desc, carried.size))
 
-    arr_comp = _Tracker()
-    for _ in range(n_random):
-        src = gen.pick(fn_bases)
-        mid = gen.pick(fn_bases)
-        dst = gen.pick(fn_bases)
-        fn_f, desc_f = gen.mapping(src, mid)
-        fn_g, desc_g = gen.mapping(mid, dst)
-        lhs = arr(lambda x: fn_g(fn_f(x)), src, dst)
-        rhs = arr(fn_f, src, mid) >> arr(fn_g, mid, dst)
-        _compare(arr_comp, lhs, rhs, f"f={desc_f}, g={desc_g}")
+    def first_exchange():
+        # first f >>> arr (id x g)  ==  arr (id x g) >>> first f
+        for f in pool:
+            for carried_out in [b, bb]:
+                fn, desc = gen.mapping(b, carried_out)
+                lhs = first_fn(f, b) >> _id_times(fn, f.output_basis, b, carried_out)
+                rhs = _id_times(fn, f.input_basis, b, carried_out) >> first_fn(f, carried_out)
+                yield max_difference(lhs, rhs), ("f={}, g={}".format, name_of(f), desc)
 
-    first_arr = _Tracker()
-    for _ in range(n_random):
-        src = gen.pick(fn_bases)
-        dst = gen.pick(fn_bases)
-        carried = gen.pick([b, bb])
-        fn, desc = gen.mapping(src, dst)
-        lhs = first_fn(arr(fn, src, dst), carried)
-        rhs = arr(lambda t: (fn(t[0]), t[1]), product([src, carried]), product([dst, carried]))
-        _compare(first_arr, lhs, rhs, f"f={desc}, carried size {carried.size}")
+    def first_drop(f):
+        # first f >>> arr fst  ==  arr fst >>> f
+        fst = lambda base: arr(lambda t: t[0], product([base, b]), base)
+        return first_fn(f, b) >> fst(f.output_basis), fst(f.input_basis) >> f
 
-    first_comp = _Tracker()
-    for f, g in itertools.product(pool, repeat=2):
-        if f.output_basis != g.input_basis:
-            continue
-        _compare(first_comp, first_fn(f >> g, b), first_fn(f, b) >> first_fn(g, b),
-                 f"f={name_of(f)}, g={name_of(g)}")
-    if first_comp.cases == 0:
-        raise ValueError(
-            "arrow/first-composes: pool contains no composable pair; "
-            f"shapes are {[(s.input_basis.size, s.output_basis.size) for s in pool]}"
-        )
+    def first_assoc(f):
+        # first (first f) >>> arr assoc  ==  arr assoc >>> first f
+        assoc = lambda base: arr(lambda t: (t[0][0], (t[0][1], t[1])),
+                                 product([product([base, b]), b]), product([base, bb]))
+        return first_fn(first_fn(f, b), b) >> assoc(f.output_basis), assoc(f.input_basis) >> first_fn(f, bb)
 
-    exchange = _Tracker()
-    for f in pool:
-        for carried_out in [b, bb]:
-            fn, desc = gen.mapping(b, carried_out)
-            lhs = first_fn(f, b) >> arr(_id_times(fn), product([f.output_basis, b]),
-                                        product([f.output_basis, carried_out]))
-            rhs = arr(_id_times(fn), product([f.input_basis, b]),
-                      product([f.input_basis, carried_out])) >> first_fn(f, carried_out)
-            _compare(exchange, lhs, rhs, f"f={name_of(f)}, g={desc}")
-
-    drop = _Tracker()
-    for f in pool:
-        lhs = first_fn(f, b) >> arr(lambda t: t[0], product([f.output_basis, b]), f.output_basis)
-        rhs = arr(lambda t: t[0], product([f.input_basis, b]), f.input_basis) >> f
-        _compare(drop, lhs, rhs, f"f={name_of(f)}")
-
-    reassoc = _Tracker()
-    for f in pool:
-        nested_in = product([product([f.input_basis, b]), b])
-        nested_out = product([product([f.output_basis, b]), b])
-        flat_in = product([f.input_basis, product([b, b])])
-        flat_out = product([f.output_basis, product([b, b])])
-        assoc_fn = lambda t: (t[0][0], (t[0][1], t[1]))
-        lhs = first_fn(first_fn(f, b), b) >> arr(assoc_fn, nested_out, flat_out)
-        rhs = arr(assoc_fn, nested_in, flat_in) >> first_fn(f, product([b, b]))
-        _compare(reassoc, lhs, rhs, f"f={name_of(f)}")
+    def over_pool(law):
+        # one instance per pool operator f; law(f) gives the equation's two sides
+        return ((max_difference(*law(f)), ("f={}".format, name_of(f))) for f in pool)
 
     return [
-        left_id.report("arrow/left-identity", tol),
-        right_id.report("arrow/right-identity", tol),
-        assoc.report("arrow/associativity", tol),
-        arr_comp.report("arrow/arr-composes", tol),
-        first_arr.report("arrow/first-arr", tol),
-        first_comp.report("arrow/first-composes", tol),
-        exchange.report("arrow/first-exchange", tol),
-        drop.report("arrow/first-drop", tol),
-        reassoc.report("arrow/first-assoc", tol),
+        _law("arrow/left-identity", tol, over_pool(lambda f: (identity_arr(f.input_basis) >> f, f))),
+        _law("arrow/right-identity", tol, over_pool(lambda f: (f >> identity_arr(f.output_basis), f))),
+        _law("arrow/associativity", tol,
+             ((max_difference((f >> g) >> h, f >> (g >> h)),
+               ("f={}, g={}, h={}".format, name_of(f), name_of(g), name_of(h))) for f, g, h in triples)),
+        _law("arrow/arr-composes", tol, arr_composes()),
+        _law("arrow/first-arr", tol, first_arr()),
+        _law("arrow/first-composes", tol,
+             ((max_difference(first_fn(f >> g, b), first_fn(f, b) >> first_fn(g, b)),
+               ("f={}, g={}".format, name_of(f), name_of(g))) for f, g in pairs)),
+        _law("arrow/first-exchange", tol, first_exchange()),
+        _law("arrow/first-drop", tol, over_pool(first_drop)),
+        _law("arrow/first-assoc", tol, over_pool(first_assoc)),
     ]
 
 

@@ -76,19 +76,18 @@ def identity(basis: Basis) -> LinearOp:
     return LinearOp(basis, basis, np.eye(basis.size, dtype=complex), name="id")
 
 
-_GATES: dict[str, LinearOp] = {}
+_BOOL = bool_basis()
+_GATES: dict[str, LinearOp] = {
+    "qnot": LinearOp(_BOOL, _BOOL, [[0, 1], [1, 0]], name="qnot"),
+    "phase": LinearOp(_BOOL, _BOOL, [[1, 0], [0, 1j]], name="phase"),
+    "hadamard": LinearOp(_BOOL, _BOOL, [[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]],
+                         name="hadamard"),
+    "z": LinearOp(_BOOL, _BOOL, [[1, 0], [0, -1]], name="z"),
+}
 
 
 def gate(name: str) -> LinearOp:
     """Single-qubit gates: qnot, phase, hadamard, z."""
-    if not _GATES:
-        b = bool_basis()
-        _GATES["qnot"] = LinearOp(b, b, [[0, 1], [1, 0]], name="qnot")
-        _GATES["phase"] = LinearOp(b, b, [[1, 0], [0, 1j]], name="phase")
-        _GATES["hadamard"] = LinearOp(
-            b, b, [[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], name="hadamard"
-        )
-        _GATES["z"] = LinearOp(b, b, [[1, 0], [0, -1]], name="z")
     try:
         return _GATES[name]
     except KeyError:

@@ -117,20 +117,8 @@ def first(s: Superoperator, carried: Basis) -> Superoperator:
     Input basis is (s.input x carried); the carried pair indices pass
     through as an exact identity on both the vector and dual sides.
     """
-    n_a = s.input_basis.size
-    n_b = s.output_basis.size
-    n_d = carried.size
-    blocks = s.matrix.reshape(n_a, n_a, n_b, n_b)
-    eye = np.eye(n_d)
     # indices: a1,d1,a2,d2 -> b1,e1,b2,e2
-    m = np.einsum("ijkl,mn,op->imjoknlp", blocks, eye, eye)
-    m = m.reshape((n_a * n_d) ** 2, (n_b * n_d) ** 2)
-    return Superoperator(
-        product([s.input_basis, carried]),
-        product([s.output_basis, carried]),
-        m,
-        name=f"first({s.name})" if s.name else "first",
-    )
+    return _lift_beside(s, carried, "ijkl,mn,op->imjoknlp", "first")
 
 
 def second(s: Superoperator, carried: Basis) -> Superoperator:
@@ -139,20 +127,26 @@ def second(s: Superoperator, carried: Basis) -> Superoperator:
     Input basis is (carried x s.input); ``first`` with the carried indices
     on the left.
     """
+    # indices: d1,a1,d2,a2 -> e1,b1,e2,b2
+    return _lift_beside(s, carried, "ijkl,mn,op->miojnkpl", "second")
+
+
+def _lift_beside(s: Superoperator, carried: Basis, subscripts: str, kind: str) -> Superoperator:
+    """``s`` on one pair component and the identity on ``carried`` on the other.
+
+    ``kind`` is ``first`` (s on the left) or ``second`` (s on the right);
+    ``subscripts`` puts s's block indices (ijkl) and the two carried
+    identities' (mn, op) in that product order.
+    """
     n_a = s.input_basis.size
     n_b = s.output_basis.size
     n_d = carried.size
-    blocks = s.matrix.reshape(n_a, n_a, n_b, n_b)
     eye = np.eye(n_d)
-    # indices: d1,a1,d2,a2 -> e1,b1,e2,b2
-    m = np.einsum("ijkl,mn,op->miojnkpl", blocks, eye, eye)
-    m = m.reshape((n_d * n_a) ** 2, (n_d * n_b) ** 2)
-    return Superoperator(
-        product([carried, s.input_basis]),
-        product([carried, s.output_basis]),
-        m,
-        name=f"second({s.name})" if s.name else "second",
-    )
+    m = np.einsum(subscripts, s.matrix.reshape(n_a, n_a, n_b, n_b), eye, eye)
+    pair = (lambda x: [x, carried]) if kind == "first" else (lambda x: [carried, x])
+    return Superoperator(product(pair(s.input_basis)), product(pair(s.output_basis)),
+                         m.reshape((n_a * n_d) ** 2, (n_b * n_d) ** 2),
+                         name=f"{kind}({s.name})" if s.name else kind)
 
 
 def parallel(s: Superoperator, t: Superoperator) -> Superoperator:

@@ -47,6 +47,7 @@ class CircuitError(ValueError):
 
 GATE_NAMES = ("H", "X", "PHASE", "Z", "APHASE")
 STATE_NAMES = {"F": "qFalse", "T": "qTrue", "FT": "qFT", "FmT": "qFmT"}
+_GATE_FORMS = {"gate": "gate <G> <wire>", "cgate": "cgate <G> <ctrl> <tgt>"}
 
 
 def gate_op(name: str) -> LinearOp:
@@ -102,7 +103,6 @@ def parse_circuit(text: str) -> CircuitIR:
     steps: list = []
     initialized: set[str] = set()
     live: set[str] = set()
-    past_inits = False
 
     def known_live_wire(lineno: int, w: str) -> str:
         if wires is None or w not in wires:
@@ -136,7 +136,7 @@ def parse_circuit(text: str) -> CircuitIR:
             raise CircuitError(lineno, "duplicate 'wires' directive")
 
         if head == "init":
-            if past_inits:
+            if steps:
                 raise CircuitError(lineno, "init must come before the first gate, measure or discard")
             if len(args) == 2:
                 w, state = args
@@ -163,33 +163,22 @@ def parse_circuit(text: str) -> CircuitIR:
                 raise CircuitError(
                     lineno, "malformed init; expected 'init <wire> <state>' or 'init <wire> <wire> epr'"
                 )
-        elif head == "gate":
-            if len(args) != 2:
-                raise CircuitError(lineno, "malformed gate; expected 'gate <G> <wire>'")
-            g, w = args
+        elif head in _GATE_FORMS:
+            if len(args) != _GATE_FORMS[head].count("<"):  # one argument per placeholder
+                raise CircuitError(lineno, f"malformed {head}; expected '{_GATE_FORMS[head]}'")
+            g, *operands = args
             if g not in GATE_NAMES:
                 raise CircuitError(lineno, f"unknown gate {g!r}; expected one of {', '.join(GATE_NAMES)}")
-            known_live_wire(lineno, w)
-            steps.append(GateStep(g, (w,), lineno))
-            past_inits = True
-        elif head == "cgate":
-            if len(args) != 3:
-                raise CircuitError(lineno, "malformed cgate; expected 'cgate <G> <ctrl> <tgt>'")
-            g, ctrl, tgt = args
-            if g not in GATE_NAMES:
-                raise CircuitError(lineno, f"unknown gate {g!r}; expected one of {', '.join(GATE_NAMES)}")
-            known_live_wire(lineno, ctrl)
-            known_live_wire(lineno, tgt)
-            if ctrl == tgt:
+            for w in operands:
+                known_live_wire(lineno, w)
+            if len(set(operands)) < len(operands):
                 raise CircuitError(lineno, "control and target must be distinct wires")
-            steps.append(GateStep(g, (ctrl, tgt), lineno))
-            past_inits = True
+            steps.append(GateStep(g, tuple(operands), lineno))
         elif head == "measure":
             if len(args) != 1:
                 raise CircuitError(lineno, "malformed measure; expected 'measure <wire>'")
             w = known_live_wire(lineno, args[0])
             steps.append(MeasureStep(w, lineno))
-            past_inits = True
         elif head == "discard":
             if len(args) != 1:
                 raise CircuitError(lineno, "malformed discard; expected 'discard <wire>'")
@@ -198,7 +187,6 @@ def parse_circuit(text: str) -> CircuitIR:
                 raise CircuitError(lineno, f"cannot discard {w!r}: it is the last live wire")
             live.remove(w)
             steps.append(DiscardStep(w, lineno))
-            past_inits = True
         else:
             raise CircuitError(lineno, f"unknown directive {head!r}")
 
@@ -227,29 +215,23 @@ class RoutedPipeline:
 
         Each matrix is held with one row axis and one column axis per live
         wire.  A stage contracts its ``op`` with its own wires' axes only,
-        which is ``first op`` read locally: every other axis passes through.
+        which is ``first op`` read locally: every other axis passes through,
+        and the op's new row and column axes move back to its wires' places.
         An ``op`` whose output basis has one label removes its wires.
         """
         n = batch.shape[0]
         live = list(self.input_wires)
         t = batch.reshape((n,) + (2,) * (2 * len(live)))
         for stage in self.stages:
-            k = len(live)
-            axes = list(range(2 * k + 1))  # batch, then k row axes, then k column axes
-            pos = [live.index(w) for w in stage.wires]
-            j = stage.op.output_basis.size.bit_length() - 1  # len(pos), or 0 for a discard
-            fresh = list(range(2 * k + 1, 2 * k + 1 + 2 * j))
-            out = list(axes)
-            if j:
-                for i, p in enumerate(pos):
-                    out[1 + p], out[1 + k + p] = fresh[i], fresh[j + i]
+            rows = [1 + live.index(w) for w in stage.wires]  # axis 0 is the batch
+            axes = rows + [len(live) + r for r in rows]
+            keeps = stage.op.output_basis.size > 1
+            op = stage.op.matrix.reshape((2,) * (len(axes) * (2 if keeps else 1)))
+            t = np.tensordot(t, op, (axes, range(len(axes))))
+            if keeps:
+                t = np.moveaxis(t, range(t.ndim - len(axes), t.ndim), axes)
             else:
-                gone = {1 + p for p in pos} | {1 + k + p for p in pos}
-                out = [a for a in axes if a not in gone]
                 live = [w for w in live if w not in stage.wires]
-            op_axes = [1 + p for p in pos] + [1 + k + p for p in pos] + fresh
-            op = stage.op.matrix.reshape((2,) * len(op_axes))
-            t = np.einsum(t, axes, op, op_axes, out, optimize=True)
         m = 2 ** len(live)
         return t.reshape(n, m, m)
 

@@ -131,7 +131,20 @@ def dot(v: StateVector, w: StateVector) -> complex:
     return complex(np.vdot(v.amplitudes, w.amplitudes))
 
 
-_NAMED: dict[str, StateVector] = {}
+_BOOL = bool_basis()
+_PAIR = product([_BOOL, _BOOL])
+_R = 1.0 / math.sqrt(2.0)
+_Q_FT = scale(_R, unit(_BOOL, False) + unit(_BOOL, True))
+_NAMED: dict[str, StateVector] = {
+    "qFalse": unit(_BOOL, False),
+    "qTrue": unit(_BOOL, True),
+    "qFT": _Q_FT,
+    "qFmT": scale(_R, unit(_BOOL, False) - unit(_BOOL, True)),
+    "epr": scale(_R, unit(_PAIR, (False, False)) + unit(_PAIR, (True, True))),
+    "p1": tensor(_Q_FT, unit(_BOOL, False)),
+    "p2": tensor(unit(_BOOL, False), _Q_FT),
+    "p3": tensor(_Q_FT, _Q_FT),
+}
 
 
 def named_state(name: str) -> StateVector:
@@ -141,25 +154,6 @@ def named_state(name: str) -> StateVector:
     sign; ``epr`` is the maximally entangled pair with amplitude 1/sqrt(2)
     on (F,F) and (T,T); p1..p3 are the standard tensor-product examples.
     """
-    if not _NAMED:
-        b = bool_basis()
-        r = 1.0 / math.sqrt(2.0)
-        q_false = unit(b, False)
-        q_true = unit(b, True)
-        q_ft = scale(r, q_false + q_true)
-        q_fmt = scale(r, q_false - q_true)
-        pair = product([b, b])
-        epr = scale(r, unit(pair, (False, False)) + unit(pair, (True, True)))
-        _NAMED.update(
-            qFalse=q_false,
-            qTrue=q_true,
-            qFT=q_ft,
-            qFmT=q_fmt,
-            epr=epr,
-            p1=tensor(q_ft, q_false),
-            p2=tensor(q_false, q_ft),
-            p3=tensor(q_ft, q_ft),
-        )
     try:
         return _NAMED[name]
     except KeyError:

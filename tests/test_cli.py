@@ -1,7 +1,10 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,3 +168,24 @@ def test_run_too_many_wires_exits_3(tmp_path):
     assert code == 3
     assert out == ""
     assert "16-wire" in err and "does not fit in memory" in err
+
+
+@pytest.mark.parametrize("module", ["qarrow", "qarrow.cli"])
+def test_python_dash_m_runs_the_command(module, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+               PYTHONDONTWRITEBYTECODE="1")
+    bad = tmp_path / "bad.qc"
+    bad.write_text("wires q\nbogus q\n", encoding="utf-8")
+
+    def run(path):
+        return subprocess.run([sys.executable, "-m", module, "run", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    failed = run(bad)
+    assert failed.returncode == 2
+    assert "error: line 2" in failed.stderr
+    assert failed.stdout == ""
+    ok = run(bundled_path("teleport.qc"))
+    assert ok.returncode == 0, ok.stderr
+    assert "F" in ok.stdout and "T" in ok.stdout

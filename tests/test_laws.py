@@ -1,6 +1,8 @@
 import pytest
 
-from qarrow.basis import Basis, bool_basis
+from qarrow import vector
+
+from qarrow.basis import Basis, bool_basis, product
 from qarrow.laws import (
     LawReport,
     SeededGenerator,
@@ -130,3 +132,19 @@ def test_generator_qubit_is_normalized():
 def test_report_string_mentions_status():
     report = LawReport("demo", 1, 0.0, True, 1e-9, "none")
     assert "PASS" in str(report)
+
+
+def test_worst_case_names_the_instance_that_was_worst():
+    # correct on every basis but the 2-wire one, which the default bases
+    # list between the 1-wire and the 3-wire basis
+    two_wires = product([bool_basis(), bool_basis()])
+
+    def bind_wrong_on_two_wires(v, f):
+        w = vector.bind(v, f)
+        return w.scale(2.0) if v.basis == two_wires else w
+
+    reports = check_monad_laws(SeededGenerator(42), n_cases=5, tol=1e-9, bind_fn=bind_wrong_on_two_wires)
+    left = {r.name: r for r in reports}["monad/left-identity"]
+    assert not left.passed
+    assert " over Basis[4](" in left.worst_case
+    assert "Basis[8]" not in left.worst_case and "Basis[2]" not in left.worst_case
