@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 
 from .circuits import CATALOG
@@ -23,6 +25,10 @@ from .laws import run_all
 from .textcircuit import CircuitError, initial_density, parse_circuit, route
 
 _TELEPORT_TOL = 1e-9
+# A run's peak in k-wire densities (16 * 4**k bytes each): the input and the
+# result, plus up to 8 densities' worth of floats and strings while the result
+# is emitted (5-8 measured at 8-10 wires; routing alone peaks at 4).
+_PEAK_DENSITIES = 10
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     laws_p = sub.add_parser("laws", help="run the monad and arrow law suites")
     laws_p.add_argument("--seed", type=_seed, default=42)
-    laws_p.add_argument("--tol", type=float, default=1e-9)
+    laws_p.add_argument("--tol", type=_tol, default=1e-9)
 
     return parser
 
@@ -61,6 +67,23 @@ def _precision(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("precision must be a non-negative integer")
     return value
+
+
+def _tol(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("tolerance must be a positive finite number")
+    return value
+
+
+def _memory_limit() -> int:
+    """Bytes of physical memory, or the cgroup v2 ``memory.max`` if that is lower."""
+    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    try:
+        with open("/sys/fs/cgroup/memory.max") as fh:
+            return min(limit, int(fh.read()))
+    except (OSError, ValueError):  # no cgroup v2, or "max"
+        return limit
 
 
 def _emit_density(d: DensityMatrix, fmt: str, precision: int | None, out) -> None:
@@ -84,6 +107,8 @@ def _cmd_run(args, out, err) -> int:
         print(f"error: {exc}", file=err)
         return 2
     try:
+        if _PEAK_DENSITIES * 16 * 4 ** len(ir.wires) > _memory_limit():
+            raise MemoryError
         rho = initial_density(ir)
         if args.validate_input:
             report = diagnostics(rho, tol=1e-6)

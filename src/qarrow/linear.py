@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import Basis, BasisMismatchError, Label, bool_basis, product
-from .vector import StateVector, unit
+from .vector import StateVector
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -99,14 +99,12 @@ def controlled(f: LinearOp) -> LinearOp:
     """Apply ``f`` only in the branch where the leading control qubit is True."""
     if f.input_basis != f.output_basis:
         raise ValueError("controlled() needs a square operator")
-    a = f.input_basis
-
-    def row(label):
-        ctrl, val = label
-        target = f.row(val) if ctrl else unit(a, val)
-        return unit(bool_basis(), ctrl).tensor(target)
-
-    return from_rows(row, product([bool_basis(), a]), name=f"controlled({f.name or 'op'})")
+    n = f.input_basis.size
+    m = np.zeros((2 * n, 2 * n), dtype=complex)
+    m[:n, :n] = np.eye(n)
+    m[n:, n:] = f.matrix
+    ab = product([bool_basis(), f.input_basis])
+    return LinearOp(ab, ab, m, name=f"controlled({f.name or 'op'})")
 
 
 def adjoint(f: LinearOp) -> LinearOp:
@@ -130,10 +128,11 @@ def lin_plus(f: LinearOp, g: LinearOp) -> LinearOp:
 
 def lin_tensor(f: LinearOp, g: LinearOp) -> LinearOp:
     """Tensor of operators over the product bases; row (a,c) = f(a) (x) g(c)."""
+    m = f.matrix[:, None, :, None] * g.matrix[None, :, None, :]
     return LinearOp(
         product([f.input_basis, g.input_basis]),
         product([f.output_basis, g.output_basis]),
-        np.kron(f.matrix, g.matrix),
+        m.reshape(m.shape[0] * m.shape[1], -1),
         name=f"{f.name}(x){g.name}" if f.name and g.name else None,
     )
 

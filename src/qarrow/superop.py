@@ -9,8 +9,9 @@ left partial trace.  Linearity means two superoperators that agree on every
 basis block agree on every density, so :func:`extensional_equal` compares
 blocks entrywise.
 
-All construction is deterministic: blocks are materialized in a fixed
-row-major order, so identical inputs give bit-identical matrices.
+All construction is deterministic: each constructor writes its nonzero
+entries into zeros with one numpy index assignment (one axis per row-major
+label index), so identical inputs give bit-identical matrices.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ def lin2super(f: LinearOp, name: str | None = None) -> Superoperator:
     """
     if name is None:
         name = f"lift({f.name})" if f.name else "lift"
-    return Superoperator(f.input_basis, f.output_basis,
-                         np.kron(f.matrix, f.matrix.conj()), name=name)
+    n_a, n_b = f.matrix.shape
+    m = f.matrix[:, None, :, None] * f.matrix.conj()[None, :, None, :]
+    return Superoperator(f.input_basis, f.output_basis, m.reshape(n_a * n_a, n_b * n_b), name=name)
 
 
 def arr(fn: Callable[[Label], Label], input_basis: Basis, output_basis: Basis,
@@ -90,12 +92,12 @@ def arr(fn: Callable[[Label], Label], input_basis: Basis, output_basis: Basis,
     """Lift a classical total function by applying it to both pair components."""
     n_in = input_basis.size
     n_out = output_basis.size
-    target = [output_basis.index_of(fn(label)) for label in input_basis]
-    m = np.zeros((n_in * n_in, n_out * n_out), dtype=complex)
-    for i1 in range(n_in):
-        for i2 in range(n_in):
-            m[i1 * n_in + i2, target[i1] * n_out + target[i2]] = 1.0
-    return Superoperator(input_basis, output_basis, m, name=name or "arr")
+    t = np.array([output_basis.index_of(fn(label)) for label in input_basis])
+    i = np.arange(n_in)
+    m = np.zeros((n_in, n_in, n_out, n_out), dtype=complex)
+    m[i[:, None], i, t[:, None], t] = 1.0
+    return Superoperator(input_basis, output_basis, m.reshape(n_in * n_in, n_out * n_out),
+                         name=name or "arr")
 
 
 def identity_arr(basis: Basis) -> Superoperator:
@@ -117,8 +119,7 @@ def first(s: Superoperator, carried: Basis) -> Superoperator:
     Input basis is (s.input x carried); the carried pair indices pass
     through as an exact identity on both the vector and dual sides.
     """
-    # indices: a1,d1,a2,d2 -> b1,e1,b2,e2
-    return _lift_beside(s, carried, "ijkl,mn,op->imjoknlp", "first")
+    return _lift_beside(s, carried, "first")
 
 
 def second(s: Superoperator, carried: Basis) -> Superoperator:
@@ -127,26 +128,27 @@ def second(s: Superoperator, carried: Basis) -> Superoperator:
     Input basis is (carried x s.input); ``first`` with the carried indices
     on the left.
     """
-    # indices: d1,a1,d2,a2 -> e1,b1,e2,b2
-    return _lift_beside(s, carried, "ijkl,mn,op->miojnkpl", "second")
+    return _lift_beside(s, carried, "second")
 
 
-def _lift_beside(s: Superoperator, carried: Basis, subscripts: str, kind: str) -> Superoperator:
+def _lift_beside(s: Superoperator, carried: Basis, kind: str) -> Superoperator:
     """``s`` on one pair component and the identity on ``carried`` on the other.
 
-    ``kind`` is ``first`` (s on the left) or ``second`` (s on the right);
-    ``subscripts`` puts s's block indices (ijkl) and the two carried
-    identities' (mn, op) in that product order.
+    ``kind`` is ``first`` (s on the left) or ``second`` (s on the right).
+    Indexed as (a1,d1,a2,d2) -> (b1,e1,b2,e2) for ``first``, the matrix
+    holds s's block (a1,a2) -> (b1,b2) wherever d1 == e1 and d2 == e2.
     """
     n_a = s.input_basis.size
     n_b = s.output_basis.size
     n_d = carried.size
-    eye = np.eye(n_d)
-    m = np.einsum(subscripts, s.matrix.reshape(n_a, n_a, n_b, n_b), eye, eye)
-    pair = (lambda x: [x, carried]) if kind == "first" else (lambda x: [carried, x])
-    return Superoperator(product(pair(s.input_basis)), product(pair(s.output_basis)),
-                         m.reshape((n_a * n_d) ** 2, (n_b * n_d) ** 2),
-                         name=f"{kind}({s.name})" if s.name else kind)
+    pair = (lambda x, d: (x, d)) if kind == "first" else (lambda x, d: (d, x))
+    m = np.zeros(((n_a * n_d) ** 2, (n_b * n_d) ** 2), dtype=complex)
+    view = m.reshape(*pair(n_a, n_d), *pair(n_a, n_d), *pair(n_b, n_d), *pair(n_b, n_d))
+    d1, d2, each = np.arange(n_d)[:, None], np.arange(n_d), slice(None)
+    view[(*pair(each, d1), *pair(each, d2), *pair(each, d1), *pair(each, d2))] = (
+        s.matrix.reshape(n_a, n_a, n_b, n_b))
+    return Superoperator(product(pair(s.input_basis, carried)), product(pair(s.output_basis, carried)),
+                         m, name=f"{kind}({s.name})" if s.name else kind)
 
 
 def parallel(s: Superoperator, t: Superoperator) -> Superoperator:
@@ -179,11 +181,9 @@ def trace_left(pair_basis: Basis) -> Superoperator:
     left, right = factors
     n_a, n_b = left.size, right.size
     n_in = n_a * n_b
+    a, b1, b2 = np.arange(n_a)[:, None, None], np.arange(n_b)[:, None], np.arange(n_b)
     m = np.zeros((n_in * n_in, n_b * n_b), dtype=complex)
-    for a in range(n_a):
-        for b1 in range(n_b):
-            for b2 in range(n_b):
-                m[(a * n_b + b1) * n_in + (a * n_b + b2), b1 * n_b + b2] = 1.0
+    m.reshape(n_a, n_b, n_a, n_b, n_b, n_b)[a, b1, a, b2, b1, b2] = 1.0
     return Superoperator(pair_basis, right, m, name=f"trace_left({n_a}x{n_b})")
 
 
@@ -197,9 +197,9 @@ def measure(basis: Basis) -> Superoperator:
     out_basis = product([basis, basis])
     n_out = out_basis.size
     m = np.zeros((n * n, n_out * n_out), dtype=complex)
-    for a in range(n):
-        p = a * n + a
-        m[a * n + a, p * n_out + p] = 1.0
+    # the n nonzero entries, row (a, a) at column ((a, a), (a, a)), sit at
+    # flat offsets a * (n + 1) * (n^4 + n^2 + 1): one strided slice
+    m.reshape(-1)[::(n + 1) * (n ** 4 + n * n + 1)] = 1.0
     return Superoperator(basis, out_basis, m, name=f"measure({n})")
 
 

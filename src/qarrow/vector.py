@@ -122,7 +122,7 @@ def bind(v: StateVector, f) -> StateVector:
 
 def tensor(v: StateVector, w: StateVector) -> StateVector:
     """Tensor product over the product basis; (a,b) entry is v(a) * w(b)."""
-    return StateVector(product([v.basis, w.basis]), np.kron(v.amplitudes, w.amplitudes))
+    return StateVector(product([v.basis, w.basis]), (v.amplitudes[:, None] * w.amplitudes).reshape(-1))
 
 
 def dot(v: StateVector, w: StateVector) -> complex:

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import qarrow
+from qarrow import cli
 from qarrow.basis import bool_basis, product
 from qarrow.cli import main
 from qarrow.density import from_json_dict, max_abs_diff, pure_density
+from qarrow.textcircuit import initial_density
 from qarrow.vector import unit
 
 
@@ -114,6 +116,14 @@ def test_laws_seed_must_be_64_bit_unsigned():
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_laws_rejects_a_tolerance_that_is_not_positive_and_finite(tol, capsys):
+    code, out, _ = run_cli(["laws", "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be a positive finite number" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2():
     code, _, _ = run_cli(["frobnicate"])
     assert code == 2
@@ -168,6 +178,37 @@ def test_run_too_many_wires_exits_3(tmp_path):
     assert code == 3
     assert out == ""
     assert "16-wire" in err and "does not fit in memory" in err
+
+
+def test_run_refuses_a_24_wire_density_before_allocating_it(tmp_path, monkeypatch):
+    def fail(ir):
+        raise AssertionError("the density was built")
+
+    monkeypatch.setattr(cli, "initial_density", fail)
+    circuit = tmp_path / "wide.qc"
+    circuit.write_text("wires " + " ".join(f"w{i}" for i in range(24)) + "\ngate H w0\n",
+                       encoding="utf-8")
+    code, out, err = run_cli(["run", str(circuit)])
+    assert (code, out) == (3, "")
+    assert "24-wire" in err and "does not fit in memory" in err
+
+
+def test_run_compares_the_density_with_the_memory_limit(monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "initial_density", lambda ir: built.append(ir) or initial_density(ir))
+    peak = cli._PEAK_DENSITIES * 16 * 4 ** 3  # toffoli.qc has 3 wires
+    monkeypatch.setattr(cli, "_memory_limit", lambda: peak - 1)
+    code, out, err = run_cli(["run", bundled_path("toffoli.qc")])
+    assert (code, out, built) == (3, "", [])
+    assert "3-wire" in err and "does not fit in memory" in err
+    monkeypatch.setattr(cli, "_memory_limit", lambda: peak)
+    code, out, err = run_cli(["run", bundled_path("toffoli.qc")])
+    assert code == 0, err
+    assert len(built) == 1
+
+
+def test_memory_limit_is_positive_and_at_most_physical_memory():
+    assert 0 < cli._memory_limit() <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @pytest.mark.parametrize("module", ["qarrow", "qarrow.cli"])

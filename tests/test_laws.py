@@ -14,7 +14,7 @@ from qarrow.laws import (
     run_all,
     skipping_bind,
 )
-from qarrow.superop import measure
+from qarrow.superop import arr, measure
 
 
 def test_monad_suite_passes_at_defaults():
@@ -93,6 +93,34 @@ def test_identity_only_pool_has_exactly_zero_residuals():
 def test_incompatible_pool_is_reported_with_the_law_name():
     with pytest.raises(ValueError, match="arrow/associativity"):
         check_arrow_laws(SeededGenerator(1), pool=[measure(bool_basis())])
+
+
+RGB = Basis(("r", "g", "b"))
+
+
+def to_rgb(base):
+    return arr(lambda x: RGB.element_at(base.index_of(x) % 3), base, RGB)
+
+
+@pytest.mark.parametrize("pool", [
+    [measure(bool_basis())],
+    [to_rgb(bool_basis())],
+    [measure(bool_basis()), to_rgb(product([bool_basis(), bool_basis()]))],
+    # b -> bb -> rgb composes, but nothing takes rgb: a pair and no triple
+    [arr(lambda x: (x, x), bool_basis(), product([bool_basis(), bool_basis()])),
+     to_rgb(product([bool_basis(), bool_basis()]))],
+])
+def test_pools_without_a_composable_triple_name_associativity(pool):
+    with pytest.raises(ValueError, match="arrow/associativity: pool contains no composable triple"):
+        check_arrow_laws(SeededGenerator(1), pool=pool)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_law_suites_reject_nonsense_tolerances(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        check_monad_laws(SeededGenerator(1), tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        check_arrow_laws(SeededGenerator(1), tol=tol)
 
 
 def test_empty_pool_rejected():

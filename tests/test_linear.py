@@ -17,6 +17,8 @@ from qarrow.linear import (
 )
 from qarrow.vector import bind, named_state, unit
 
+from oracle_bases import ORACLE_BASES
+
 B = bool_basis()
 BB = product([B, B])
 R = 1 / np.sqrt(2)
@@ -178,3 +180,34 @@ def test_from_rows_requires_consistent_bases():
 def test_apply_matches_bind():
     v = named_state("qFT")
     assert dev(gate("hadamard").apply(v).amplitudes, bind(v, gate("hadamard")).amplitudes) == 0
+
+
+# controlled once built its rows with from_rows and a tensor per row, and
+# lin_tensor called np.kron; those forms are kept here as oracles.
+
+
+def oracle_controlled(f):
+    def row(label):
+        ctrl, val = label
+        target = f.row(val) if ctrl else unit(f.input_basis, val)
+        return unit(B, ctrl).tensor(target)
+
+    return from_rows(row, product([B, f.input_basis])).matrix
+
+
+@pytest.mark.parametrize("basis", ORACLE_BASES)
+def test_controlled_matches_the_row_by_row_oracle(basis):
+    f = random_op(np.random.default_rng(basis.size), basis, basis)
+    out = controlled(f)
+    assert out.input_basis == out.output_basis == product([B, basis])
+    assert np.array_equal(out.matrix, oracle_controlled(f))
+    for name in ("qnot", "phase", "hadamard", "z"):
+        assert np.array_equal(controlled(gate(name)).matrix, oracle_controlled(gate(name)))
+
+
+@pytest.mark.parametrize("left", ORACLE_BASES)
+def test_lin_tensor_matches_the_kron_oracle(left):
+    rng = np.random.default_rng(left.size)
+    for right in ORACLE_BASES:
+        f, g = random_op(rng, left, right), random_op(rng, right, B)
+        assert np.array_equal(lin_tensor(f, g).matrix, np.kron(f.matrix, g.matrix))

@@ -3,7 +3,7 @@ import pytest
 
 from qarrow.basis import Basis, BasisMismatchError, bool_basis, product
 from qarrow.density import DensityMatrix, max_abs_diff, pure_density, zero_density
-from qarrow.linear import compose as compose_lin, controlled, gate, identity, lin_tensor
+from qarrow.linear import LinearOp, compose as compose_lin, controlled, gate, identity, lin_tensor
 from qarrow.superop import (
     arr,
     compose,
@@ -19,6 +19,8 @@ from qarrow.superop import (
     trace_left,
 )
 from qarrow.vector import StateVector, bind, named_state, tensor, unit
+
+from oracle_bases import FIVE, ORACLE_BASES, RGB
 
 B = bool_basis()
 BB = product([B, B])
@@ -277,3 +279,107 @@ def test_block_access():
     block = s.block(False, False)
     assert block.entry((False, False), (False, False)) == 1
     assert s.block(False, True).trace() == 0
+
+
+# The constructors once filled their matrices with Python loops over labels,
+# np.kron and an einsum with two identities.  Those forms are kept here as
+# oracles: the numpy-indexed constructors must give equal matrices.
+ORACLE_PAIRS = [(x, y) for x in ORACLE_BASES for y in ORACLE_BASES]
+
+
+def oracle_arr(fn, input_basis, output_basis):
+    n_in, n_out = input_basis.size, output_basis.size
+    target = [output_basis.index_of(fn(label)) for label in input_basis]
+    m = np.zeros((n_in * n_in, n_out * n_out), dtype=complex)
+    for i1 in range(n_in):
+        for i2 in range(n_in):
+            m[i1 * n_in + i2, target[i1] * n_out + target[i2]] = 1.0
+    return m
+
+
+def oracle_lift(s, carried, subscripts):
+    n_a, n_b, n_d = s.input_basis.size, s.output_basis.size, carried.size
+    eye = np.eye(n_d)
+    m = np.einsum(subscripts, s.matrix.reshape(n_a, n_a, n_b, n_b), eye, eye)
+    return m.reshape((n_a * n_d) ** 2, (n_b * n_d) ** 2)
+
+
+def oracle_trace_left(n_a, n_b):
+    n_in = n_a * n_b
+    m = np.zeros((n_in * n_in, n_b * n_b), dtype=complex)
+    for a in range(n_a):
+        for b1 in range(n_b):
+            for b2 in range(n_b):
+                m[(a * n_b + b1) * n_in + (a * n_b + b2), b1 * n_b + b2] = 1.0
+    return m
+
+
+def oracle_measure(n):
+    n_out = n * n
+    m = np.zeros((n * n, n_out * n_out), dtype=complex)
+    for a in range(n):
+        p = a * n + a
+        m[a * n + a, p * n_out + p] = 1.0
+    return m
+
+
+def random_lin(rng, basis_in, basis_out):
+    shape = (basis_in.size, basis_out.size)
+    return LinearOp(basis_in, basis_out, rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+
+
+@pytest.mark.parametrize("src,dst", ORACLE_PAIRS)
+def test_arr_matches_the_loop_oracle(src, dst):
+    picks = np.random.default_rng(src.size * 31 + dst.size).integers(dst.size, size=src.size)
+    table = {label: dst.element_at(int(k)) for label, k in zip(src, picks)}
+    assert np.array_equal(arr(table.get, src, dst).matrix, oracle_arr(table.get, src, dst))
+
+
+@pytest.mark.parametrize("src,dst", ORACLE_PAIRS)
+def test_lin2super_matches_the_kron_oracle(src, dst):
+    f = random_lin(np.random.default_rng(src.size * 31 + dst.size), src, dst)
+    assert np.array_equal(lin2super(f).matrix, np.kron(f.matrix, f.matrix.conj()))
+
+
+@pytest.mark.parametrize("left,right", ORACLE_PAIRS)
+def test_trace_left_matches_the_loop_oracle(left, right):
+    out = trace_left(product([left, right]))
+    assert np.array_equal(out.matrix, oracle_trace_left(left.size, right.size))
+
+
+@pytest.mark.parametrize("basis", ORACLE_BASES)
+def test_measure_matches_the_loop_oracle(basis):
+    assert np.array_equal(measure(basis).matrix, oracle_measure(basis.size))
+
+
+def oracle_lift_cases():
+    rng = np.random.default_rng(71)
+    return [
+        lin2super(gate("hadamard")),
+        lin2super(random_lin(rng, RGB, B)),
+        lin2super(random_lin(rng, B, FIVE)),
+        measure(RGB),
+        trace_left(product([RGB, B])),
+        arr(lambda x: RGB.element_at(FIVE.index_of(x) % 3), FIVE, RGB),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_first_and_second_match_the_einsum_oracle(n):
+    carried = Basis(tuple(f"c{i}" for i in range(n)))
+    for s in oracle_lift_cases():
+        assert np.array_equal(first(s, carried).matrix,
+                              oracle_lift(s, carried, "ijkl,mn,op->imjoknlp"))
+        assert np.array_equal(second(s, carried).matrix,
+                              oracle_lift(s, carried, "ijkl,mn,op->miojnkpl"))
+
+
+def test_parallel_and_permute_arr_match_their_oracles():
+    s, t = lin2super(random_lin(np.random.default_rng(73), RGB, B)), measure(B)
+    expected = (oracle_lift(s, t.input_basis, "ijkl,mn,op->imjoknlp")
+                @ oracle_lift(t, s.output_basis, "ijkl,mn,op->miojnkpl"))
+    assert np.array_equal(parallel(s, t).matrix, expected)
+    basis = product([B, RGB, B])
+    perm = lambda t: (t[2], t[0], t[1])
+    assert np.array_equal(permute_arr((2, 0, 1), basis).matrix,
+                          oracle_arr(perm, basis, product([B, B, RGB])))

@@ -8,6 +8,8 @@ from qarrow.basis import BasisMismatchError, bool_basis, product
 from qarrow.linear import controlled, gate
 from qarrow.vector import StateVector, bind, dot, named_state, scale, tensor, unit, zero
 
+from oracle_bases import ORACLE_BASES
+
 B = bool_basis()
 BB = product([B, B])
 R = 1 / math.sqrt(2)
@@ -148,3 +150,14 @@ def test_amplitudes_are_read_only():
     v = named_state("qFT")
     with pytest.raises(ValueError):
         v.amplitudes[0] = 9.0
+
+
+@pytest.mark.parametrize("left", ORACLE_BASES)
+def test_tensor_matches_the_kron_oracle(left):
+    rng = np.random.default_rng(left.size)
+    for right in ORACLE_BASES:
+        v = vec(left, rng.uniform(-1, 1, left.size) + 1j * rng.uniform(-1, 1, left.size))
+        w = vec(right, rng.uniform(-1, 1, right.size) + 1j * rng.uniform(-1, 1, right.size))
+        out = tensor(v, w)
+        assert out.basis == product([left, right])
+        assert np.array_equal(out.amplitudes, np.kron(v.amplitudes, w.amplitudes))
