@@ -62,7 +62,7 @@ def toffoli_lin() -> LinearOp:
         _on_wires(cphase, (0, 2)),
         _on_wires(h, (2,)),
     ]
-    return from_rows(lambda label: reduce(bind, steps, _unit3(label)), _B3, name="toffoli")
+    return from_rows(lambda label: reduce(bind, steps, unit(_B3, label)), _B3, name="toffoli")
 
 
 def _on_wires(op: LinearOp, wires: tuple[int, ...]) -> LinearOp:
@@ -77,15 +77,11 @@ def _on_wires(op: LinearOp, wires: tuple[int, ...]) -> LinearOp:
             new = list(label)
             for w, value in zip(wires, (out,) if len(wires) == 1 else out):
                 new[w] = value
-            return _unit3(tuple(new))
+            return unit(_B3, tuple(new))
 
         return bind(op.row(args), put)
 
     return from_rows(row, _B3)
-
-
-def _unit3(label: tuple) -> StateVector:
-    return unit(_B3, label)
 
 
 def toffoli_super() -> Superoperator:
@@ -198,8 +194,8 @@ CATALOG: dict[str, DemoCircuit] = {
         name="toffoli",
         description="doubly-controlled not on (top, middle, bottom), input |T,T,F>",
         build=toffoli_super,
-        default_input=lambda: pure_density(_unit3((True, True, False))),
-        expected_output=lambda: pure_density(_unit3((True, True, True))),
+        default_input=lambda: pure_density(unit(_B3, (True, True, False))),
+        expected_output=lambda: pure_density(unit(_B3, (True, True, True))),
     ),
     "teleport": DemoCircuit(
         name="teleport",

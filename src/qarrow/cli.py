@@ -149,11 +149,9 @@ def _cmd_laws(args, out, err) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name.ljust(name_w)}  {r.cases:>6}  {r.max_residual:>13.3e}  {status}", file=out)
     failures = [r for r in reports if not r.passed]
-    if failures:
-        for r in failures:
-            print(f"error: {r.name} failed, worst case: {r.worst_case}", file=err)
-        return 1
-    return 0
+    for r in failures:
+        print(f"error: {r.name} failed, worst case: {r.worst_case}", file=err)
+    return 1 if failures else 0
 
 
 def main(argv: list[str] | None = None, out=None, err=None) -> int:

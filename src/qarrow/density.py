@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, BasisMismatchError, Label, label_text, parse_label
-from .vector import StateVector
+from .basis import Basis, Label, label_text, parse_label
+from .vector import StateVector, frozen_array, require_same_basis, require_tolerance
 
 
 class DensityMatrix:
@@ -23,12 +23,8 @@ class DensityMatrix:
     __slots__ = ("basis", "_matrix")
 
     def __init__(self, basis: Basis, matrix):
-        m = np.array(matrix, dtype=complex)
-        if m.shape != (basis.size, basis.size):
-            raise ValueError(f"expected shape {(basis.size, basis.size)}, got {m.shape}")
-        m.setflags(write=False)
         self.basis = basis
-        self._matrix = m
+        self._matrix = frozen_array(matrix, (basis.size, basis.size))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -41,13 +37,11 @@ class DensityMatrix:
         return complex(np.trace(self._matrix))
 
     def __add__(self, other: "DensityMatrix") -> "DensityMatrix":
-        if self.basis != other.basis:
-            raise BasisMismatchError("density matrices over differing bases")
+        require_same_basis(self, other)
         return DensityMatrix(self.basis, self._matrix + other._matrix)
 
     def __sub__(self, other: "DensityMatrix") -> "DensityMatrix":
-        if self.basis != other.basis:
-            raise BasisMismatchError("density matrices over differing bases")
+        require_same_basis(self, other)
         return DensityMatrix(self.basis, self._matrix - other._matrix)
 
     def __mul__(self, k) -> "DensityMatrix":
@@ -77,8 +71,7 @@ def trace(d: DensityMatrix) -> complex:
 
 
 def max_abs_diff(d1: DensityMatrix, d2: DensityMatrix) -> float:
-    if d1.basis != d2.basis:
-        raise BasisMismatchError("density matrices over differing bases")
+    require_same_basis(d1, d2)
     return float(np.max(np.abs(d1.matrix - d2.matrix)))
 
 
@@ -97,8 +90,7 @@ def diagnostics(d: DensityMatrix, tol: float = 1e-9) -> DiagnosticsReport:
     (robust for rank-deficient pure states).  ``max_violation`` is the
     largest of the three deviations.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    require_tolerance(tol)
     m = d.matrix
     herm_dev = float(np.max(np.abs(m - m.conj().T)))
     eigenvalues = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
@@ -115,24 +107,25 @@ def diagnostics(d: DensityMatrix, tol: float = 1e-9) -> DiagnosticsReport:
 def to_json_dict(d: DensityMatrix, precision: int | None = None) -> dict:
     """JSON-ready payload: {basis: [labels], re: [[..]], im: [[..]]}.
 
-    With ``precision`` set, entries are rounded to that many decimals so the
-    emitted file parses back bit-for-bit at the stated precision.  A label
-    whose text would not parse back to it raises ``ValueError`` rather than
-    come back changed from :func:`from_json_dict`: ``F``, ``T``, the empty
-    string, text with ``,`` or ``)``, text that opens with ``(`` or has
-    surrounding whitespace, the empty tuple, and any atom that is neither
-    a bool nor a string.
+    With ``precision`` set, each entry is rounded to that many decimals by
+    Python's correctly rounded ``round`` (``np.round`` scales by
+    10**precision, which is inexact and overflows past 308), so the emitted
+    file parses back bit-for-bit at that precision.  A label whose text would
+    not parse back to it raises ``ValueError`` rather than come back changed
+    from :func:`from_json_dict`: ``F``, ``T``, the empty string, text with
+    ``,`` or ``)``, text that opens with ``(`` or has surrounding whitespace,
+    the empty tuple, and any atom that is neither a bool nor a string.
     """
     _require_json_labels(d.basis)
-    re = d.matrix.real
-    im = d.matrix.imag
+    re = d.matrix.real.tolist()
+    im = d.matrix.imag.tolist()
     if precision is not None:
-        re = np.round(re, precision)
-        im = np.round(im, precision)
+        re = [[round(v, precision) for v in row] for row in re]
+        im = [[round(v, precision) for v in row] for row in im]
     return {
         "basis": [label_text(l) for l in d.basis],
-        "re": re.tolist(),
-        "im": im.tolist(),
+        "re": re,
+        "im": im,
     }
 
 
@@ -165,11 +158,8 @@ def format_table(d: DensityMatrix, precision: int = 4) -> str:
     """Aligned text table with basis labels on both axes."""
     labels = [label_text(l) for l in d.basis]
     cells = [[f"{z.real:.{precision}f}{z.imag:+.{precision}f}j" for z in row] for row in d.matrix]
-    width = max(
-        max(len(t) for t in labels),
-        max(len(c) for row in cells for c in row),
-    )
     lead = max(len(t) for t in labels)
+    width = max(lead, max(len(c) for row in cells for c in row))
     lines = [" " * lead + "  " + "  ".join(t.rjust(width) for t in labels)]
     for label, row in zip(labels, cells):
         lines.append(label.rjust(lead) + "  " + "  ".join(c.rjust(width) for c in row))

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import Basis, BasisMismatchError, Label, bool_basis, product
-from .vector import StateVector
+from .vector import StateVector, bind, frozen_array, iter_rows, require_same_basis
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -24,15 +24,9 @@ class LinearOp:
     __slots__ = ("input_basis", "output_basis", "_matrix", "name")
 
     def __init__(self, input_basis: Basis, output_basis: Basis, matrix, name: str | None = None):
-        m = np.array(matrix, dtype=complex)
-        if m.shape != (input_basis.size, output_basis.size):
-            raise ValueError(
-                f"expected shape {(input_basis.size, output_basis.size)}, got {m.shape}"
-            )
-        m.setflags(write=False)
         self.input_basis = input_basis
         self.output_basis = output_basis
-        self._matrix = m
+        self._matrix = frozen_array(matrix, (input_basis.size, output_basis.size))
         self.name = name
 
     @property
@@ -44,8 +38,6 @@ class LinearOp:
         return StateVector(self.output_basis, self._matrix[self.input_basis.index_of(label)])
 
     def apply(self, v: StateVector) -> StateVector:
-        from .vector import bind
-
         return bind(v, self)
 
     def __repr__(self) -> str:
@@ -55,12 +47,9 @@ class LinearOp:
 
 def from_rows(fn: Callable[[Label], StateVector], input_basis: Basis, name: str | None = None) -> LinearOp:
     """Materialize a label-to-vector function; all rows must share one basis."""
-    rows = [fn(label) for label in input_basis]
-    out = rows[0].basis
-    for r in rows[1:]:
-        if r.basis != out:
-            raise BasisMismatchError("rows returned vectors over differing bases")
-    return LinearOp(input_basis, out, np.stack([r.amplitudes for r in rows]), name=name)
+    rows = iter_rows(fn, input_basis, "rows")
+    out = next(rows)
+    return LinearOp(input_basis, out, np.stack(list(rows)), name=name)
 
 
 def fun2lin(fn: Callable[[Label], Label], input_basis: Basis, output_basis: Basis,
@@ -115,8 +104,7 @@ def adjoint(f: LinearOp) -> LinearOp:
 
 def outer(v: StateVector, w: StateVector) -> LinearOp:
     """Outer product: entry (a1, a2) is v(a1) * conj(w(a2))."""
-    if v.basis != w.basis:
-        raise BasisMismatchError("outer product needs vectors over one basis")
+    require_same_basis(v, w)
     return LinearOp(v.basis, v.basis, np.outer(v.amplitudes, w.amplitudes.conj()))
 
 
@@ -137,10 +125,14 @@ def lin_tensor(f: LinearOp, g: LinearOp) -> LinearOp:
     )
 
 
-def compose(f: LinearOp, g: LinearOp) -> LinearOp:
-    """Diagrammatic composition: ``f`` acts first, then ``g``."""
+def compose(f, g):
+    """Diagrammatic composition: ``f`` acts first, then ``g``.
+
+    An operator and a :class:`~qarrow.superop.Superoperator` both store an
+    input x output matrix, so both compose by matrix product into ``type(f)``.
+    """
     if f.output_basis != g.input_basis:
         raise BasisMismatchError(
             f"cannot compose: {f.output_basis!r} feeds into {g.input_basis!r}"
         )
-    return LinearOp(f.input_basis, g.output_basis, f.matrix @ g.matrix)
+    return type(f)(f.input_basis, g.output_basis, f.matrix @ g.matrix)

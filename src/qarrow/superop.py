@@ -4,14 +4,15 @@ A :class:`Superoperator` from basis A to basis B stores one output density
 block per ordered input pair (a1, a2), i.e. a dense |A|^2 x |B|^2 matrix.
 The combinator set is ``arr`` (lift a classical function), ``compose`` (also
 spelled ``>>``), and ``first`` (act on the left component of a pair while
-carrying the right component unchanged), together with measurement and the
-left partial trace.  Linearity means two superoperators that agree on every
-basis block agree on every density, so :func:`extensional_equal` compares
-blocks entrywise.
+carrying the right component unchanged); ``second`` (``first`` between two
+swaps, done as one transpose of its axes) and ``parallel`` derive from them.
+Measurement and the left partial trace complete it.  Linearity means two
+superoperators that agree on every basis block agree on every density, so
+:func:`extensional_equal` compares blocks entrywise.
 
-All construction is deterministic: each constructor writes its nonzero
-entries into zeros with one numpy index assignment (one axis per row-major
-label index), so identical inputs give bit-identical matrices.
+All construction is deterministic: each primitive writes its nonzero entries
+into zeros with one numpy index assignment (one axis per row-major label
+index), so identical inputs give bit-identical matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from .basis import Basis, BasisMismatchError, Label, label_text, product
 from .density import DensityMatrix
-from .linear import LinearOp
+from .linear import LinearOp, compose
+from .vector import frozen_array, require_tolerance
 
 
 class Superoperator:
@@ -32,14 +34,9 @@ class Superoperator:
     __slots__ = ("input_basis", "output_basis", "_matrix", "name")
 
     def __init__(self, input_basis: Basis, output_basis: Basis, matrix, name: str | None = None):
-        m = np.array(matrix, dtype=complex)
-        shape = (input_basis.size ** 2, output_basis.size ** 2)
-        if m.shape != shape:
-            raise ValueError(f"expected shape {shape}, got {m.shape}")
-        m.setflags(write=False)
         self.input_basis = input_basis
         self.output_basis = output_basis
-        self._matrix = m
+        self._matrix = frozen_array(matrix, (input_basis.size ** 2, output_basis.size ** 2))
         self.name = name
 
     @property
@@ -104,51 +101,36 @@ def identity_arr(basis: Basis) -> Superoperator:
     return arr(lambda x: x, basis, basis, name="arr(id)")
 
 
-def compose(s: Superoperator, t: Superoperator) -> Superoperator:
-    """Diagrammatic composition: ``s`` acts first, then ``t``."""
-    if s.output_basis != t.input_basis:
-        raise BasisMismatchError(
-            f"cannot compose: {s.output_basis!r} feeds into {t.input_basis!r}"
-        )
-    return Superoperator(s.input_basis, t.output_basis, s.matrix @ t.matrix)
-
-
 def first(s: Superoperator, carried: Basis) -> Superoperator:
     """Act on the left pair component, carrying the right one unchanged.
 
-    Input basis is (s.input x carried); the carried pair indices pass
-    through as an exact identity on both the vector and dual sides.
+    Indexed as (a1,d1,a2,d2) -> (b1,e1,b2,e2), the matrix holds s's block
+    (a1,a2) -> (b1,b2) wherever d1 == e1 and d2 == e2: the carried indices
+    pass through as an exact identity on both the vector and dual sides.
     """
-    return _lift_beside(s, carried, "first")
+    n_a = s.input_basis.size
+    n_b = s.output_basis.size
+    n_d = carried.size
+    m = np.zeros(((n_a * n_d) ** 2, (n_b * n_d) ** 2), dtype=complex)
+    d1, d2 = np.arange(n_d)[:, None], np.arange(n_d)
+    m.reshape(n_a, n_d, n_a, n_d, n_b, n_d, n_b, n_d)[:, d1, :, d2, :, d1, :, d2] = (
+        s.matrix.reshape(n_a, n_a, n_b, n_b))
+    return Superoperator(product([s.input_basis, carried]), product([s.output_basis, carried]),
+                         m, name=f"first({s.name})" if s.name else "first")
 
 
 def second(s: Superoperator, carried: Basis) -> Superoperator:
     """Act on the right pair component, carrying the left one unchanged.
 
-    Input basis is (carried x s.input); ``first`` with the carried indices
-    on the left.
+    As in Hughes's arrows, ``arr swap >>> first s >>> arr swap``: the two
+    swaps only relabel, so they are done as one transpose of ``first``'s
+    axes, (a1,d1,a2,d2) -> (d1,a1,d2,a2) and likewise on the output side.
     """
-    return _lift_beside(s, carried, "second")
-
-
-def _lift_beside(s: Superoperator, carried: Basis, kind: str) -> Superoperator:
-    """``s`` on one pair component and the identity on ``carried`` on the other.
-
-    ``kind`` is ``first`` (s on the left) or ``second`` (s on the right).
-    Indexed as (a1,d1,a2,d2) -> (b1,e1,b2,e2) for ``first``, the matrix
-    holds s's block (a1,a2) -> (b1,b2) wherever d1 == e1 and d2 == e2.
-    """
-    n_a = s.input_basis.size
-    n_b = s.output_basis.size
-    n_d = carried.size
-    pair = (lambda x, d: (x, d)) if kind == "first" else (lambda x, d: (d, x))
-    m = np.zeros(((n_a * n_d) ** 2, (n_b * n_d) ** 2), dtype=complex)
-    view = m.reshape(*pair(n_a, n_d), *pair(n_a, n_d), *pair(n_b, n_d), *pair(n_b, n_d))
-    d1, d2, each = np.arange(n_d)[:, None], np.arange(n_d), slice(None)
-    view[(*pair(each, d1), *pair(each, d2), *pair(each, d1), *pair(each, d2))] = (
-        s.matrix.reshape(n_a, n_a, n_b, n_b))
-    return Superoperator(product(pair(s.input_basis, carried)), product(pair(s.output_basis, carried)),
-                         m, name=f"{kind}({s.name})" if s.name else kind)
+    lifted = first(s, carried).matrix
+    sizes = (s.input_basis.size, carried.size) * 2 + (s.output_basis.size, carried.size) * 2
+    m = lifted.reshape(sizes).transpose(1, 0, 3, 2, 5, 4, 7, 6).reshape(lifted.shape)
+    return Superoperator(product([carried, s.input_basis]), product([carried, s.output_basis]),
+                         m, name=f"second({s.name})" if s.name else "second")
 
 
 def parallel(s: Superoperator, t: Superoperator) -> Superoperator:
@@ -227,6 +209,7 @@ def max_difference(s: Superoperator, t: Superoperator) -> float:
 
 def extensional_equal(s: Superoperator, t: Superoperator, tol: float) -> EqualityReport:
     """Blockwise comparison; by linearity this decides equality on all densities."""
+    require_tolerance(tol)
     if s.input_basis != t.input_basis or s.output_basis != t.output_basis:
         raise BasisMismatchError("cannot compare channels with differing bases")
     diff = np.abs(s.matrix - t.matrix)

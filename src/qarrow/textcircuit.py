@@ -284,17 +284,13 @@ def route(ir: CircuitIR) -> RoutedPipeline:
 def initial_density(ir: CircuitIR) -> DensityMatrix:
     """Pure input density from the init directives; unmentioned wires are F."""
     chunks: list[tuple[tuple[str, ...], np.ndarray]] = []
-    initialized: set[str] = set()
     for init in ir.inits:
         if isinstance(init, StateInit):
             chunks.append(((init.wire,), named_state(STATE_NAMES[init.state]).amplitudes))
-            initialized.add(init.wire)
         else:
             chunks.append((init.wires, named_state("epr").amplitudes))
-            initialized.update(init.wires)
-    for w in ir.wires:
-        if w not in initialized:
-            chunks.append(((w,), named_state("qFalse").amplitudes))
+    initialized = {w for chunk in chunks for w in chunk[0]}
+    chunks += [((w,), named_state("qFalse").amplitudes) for w in ir.wires if w not in initialized]
 
     concat_order = [w for chunk in chunks for w in chunk[0]]
     amps = reduce(np.kron, [chunk[1] for chunk in chunks])

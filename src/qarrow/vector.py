@@ -22,14 +22,8 @@ class StateVector:
     __slots__ = ("basis", "_amps")
 
     def __init__(self, basis: Basis, amplitudes):
-        amps = np.array(amplitudes, dtype=complex)
-        if amps.shape != (basis.size,):
-            raise ValueError(
-                f"expected {basis.size} amplitudes for {basis!r}, got shape {amps.shape}"
-            )
-        amps.setflags(write=False)
         self.basis = basis
-        self._amps = amps
+        self._amps = frozen_array(amplitudes, (basis.size,))
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -52,11 +46,11 @@ class StateVector:
         return dot(self, other)
 
     def __add__(self, other: "StateVector") -> "StateVector":
-        _require_same_basis(self, other)
+        require_same_basis(self, other)
         return StateVector(self.basis, self._amps + other._amps)
 
     def __sub__(self, other: "StateVector") -> "StateVector":
-        _require_same_basis(self, other)
+        require_same_basis(self, other)
         return StateVector(self.basis, self._amps - other._amps)
 
     def __mul__(self, k) -> "StateVector":
@@ -71,9 +65,37 @@ class StateVector:
         return f"StateVector({self.basis!r}, {np.array2string(self._amps, precision=4)})"
 
 
-def _require_same_basis(v: StateVector, w: StateVector) -> None:
-    if v.basis != w.basis:
-        raise BasisMismatchError(f"vector bases differ: {v.basis!r} vs {w.basis!r}")
+def frozen_array(data, shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only complex copy of ``data``, which must have ``shape``; all value types use it."""
+    a = np.array(data, dtype=complex)
+    if a.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {a.shape}")
+    a.setflags(write=False)
+    return a
+
+
+def iter_rows(fn, basis: Basis, what: str):
+    """Yield the basis of ``fn``'s vectors over ``basis``, then each one's amplitudes as it is made."""
+    rows = map(fn, basis)
+    head = next(rows)
+    yield head.basis
+    yield head._amps
+    for row in rows:
+        if row.basis != head.basis:
+            raise BasisMismatchError(f"{what} returned vectors over differing bases")
+        yield row._amps
+
+
+def require_same_basis(x, y) -> None:
+    """Raise unless vectors or densities ``x`` and ``y`` share one basis."""
+    if x.basis != y.basis:
+        raise BasisMismatchError(f"bases differ: {x.basis!r} vs {y.basis!r}")
+
+
+def require_tolerance(tol: float) -> None:
+    """The one tolerance rule: ``tol`` must be positive and finite."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive")
 
 
 def unit(basis: Basis, label: Label) -> StateVector:
@@ -106,17 +128,11 @@ def bind(v: StateVector, f) -> StateVector:
                 f"cannot bind vector over {v.basis!r} through operator expecting {f.input_basis!r}"
             )
         return StateVector(f.output_basis, v.amplitudes @ matrix)
-    out_basis: Basis | None = None
-    acc: np.ndarray | None = None
-    for amp, label in zip(v.amplitudes, v.basis):
-        row = f(label)
-        if out_basis is None:
-            out_basis = row.basis
-            acc = np.zeros(out_basis.size, dtype=complex)
-        elif row.basis != out_basis:
-            raise BasisMismatchError("continuation returned vectors over differing bases")
-        acc += amp * row.amplitudes
-    assert out_basis is not None and acc is not None
+    rows = iter_rows(f, v.basis, "continuation")
+    out_basis = next(rows)
+    acc = np.zeros(out_basis.size, dtype=complex)
+    for amp, row in zip(v.amplitudes, rows):
+        acc += amp * row
     return StateVector(out_basis, acc)
 
 
@@ -127,7 +143,7 @@ def tensor(v: StateVector, w: StateVector) -> StateVector:
 
 def dot(v: StateVector, w: StateVector) -> complex:
     """Inner product, conjugate-linear in the first argument."""
-    _require_same_basis(v, w)
+    require_same_basis(v, w)
     return complex(np.vdot(v.amplitudes, w.amplitudes))
 
 

@@ -14,7 +14,7 @@ from qarrow import cli
 from qarrow.basis import bool_basis, product
 from qarrow.cli import main
 from qarrow.density import from_json_dict, max_abs_diff, pure_density
-from qarrow.textcircuit import initial_density
+from qarrow.textcircuit import initial_density, parse_circuit, route
 from qarrow.vector import unit
 
 
@@ -116,6 +116,22 @@ def test_laws_seed_must_be_64_bit_unsigned():
     assert code == 2
 
 
+def test_laws_accepts_a_positive_finite_tolerance():
+    code, out, err = run_cli(["laws", "--tol", "1e-6"])
+    assert code == 0, err
+    assert len([l for l in out.splitlines() if l.rstrip().endswith("PASS")]) == 12
+
+
+def test_laws_exits_1_and_names_the_worst_case_when_a_law_fails(monkeypatch):
+    failing = qarrow.LawReport("arrow/first-drop", 6, 0.5, False, 1e-9, "f=measure(2)")
+    passing = qarrow.LawReport("monad/left-identity", 700, 0.0, True, 1e-9, "none")
+    monkeypatch.setattr(cli, "run_all", lambda seed, tol: [passing, failing])
+    code, out, err = run_cli(["laws"])
+    assert code == 1
+    assert out.splitlines()[-1].rstrip().endswith("FAIL")
+    assert err == "error: arrow/first-drop failed, worst case: f=measure(2)\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_laws_rejects_a_tolerance_that_is_not_positive_and_finite(tol, capsys):
     code, out, _ = run_cli(["laws", "--tol", tol])
@@ -137,6 +153,20 @@ def test_negative_precision_is_a_usage_error(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert "precision must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", [300, 309, 400])
+def test_json_at_a_large_precision_emits_each_entry_rounded(tmp_path, precision):
+    circuit = tmp_path / "h.qc"
+    circuit.write_text("wires a\ngate H a\n", encoding="utf-8")
+    code, out, err = run_cli(["run", str(circuit), "--format", "json", "--precision", str(precision)])
+    assert code == 0, err
+    payload = json.loads(out)
+    ir = parse_circuit(circuit.read_text())
+    entries = route(ir).apply(initial_density(ir)).matrix
+    assert payload["re"] == [[round(x, precision) for x in row] for row in entries.real.tolist()]
+    assert payload["im"] == [[round(x, precision) for x in row] for row in entries.imag.tolist()]
+    assert np.all(np.isfinite(payload["re"])) and np.all(np.isfinite(payload["im"]))
 
 
 def test_zero_precision_is_accepted():

@@ -109,6 +109,16 @@ def test_json_round_trip_at_precision_is_bit_for_bit():
     assert np.array_equal(back.matrix, rounded)
 
 
+@pytest.mark.parametrize("precision", [300, 309, 400])
+def test_json_at_a_large_precision_keeps_entries_finite_and_rounded(precision):
+    # a large, a tiny, a subnormal and a zero entry; 10**precision itself overflows past 308
+    d = DensityMatrix(B, [[1e10, 0.1 + 1e-300j], [-2.5e-23, 5e-324]])
+    payload = to_json_dict(d, precision=precision)
+    for part, key in ((d.matrix.real, "re"), (d.matrix.imag, "im")):
+        assert payload[key] == [[round(x, precision) for x in row] for row in part.tolist()]
+        assert np.all(np.isfinite(payload[key]))
+
+
 def _round_trip(basis):
     d = DensityMatrix(basis, np.eye(basis.size) / basis.size)
     return from_json_dict(json.loads(json.dumps(to_json_dict(d))))

@@ -14,7 +14,9 @@ from qarrow.laws import (
     run_all,
     skipping_bind,
 )
-from qarrow.superop import arr, measure
+from qarrow.density import diagnostics, pure_density
+from qarrow.linear import gate
+from qarrow.superop import arr, extensional_equal, lin2super, measure
 
 
 def test_monad_suite_passes_at_defaults():
@@ -121,6 +123,11 @@ def test_law_suites_reject_nonsense_tolerances(tol):
         check_monad_laws(SeededGenerator(1), tol=tol)
     with pytest.raises(ValueError, match="tolerance must be positive"):
         check_arrow_laws(SeededGenerator(1), tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        diagnostics(pure_density(vector.named_state("qFT")), tol=tol)
+    s = lin2super(gate("hadamard"))
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        extensional_equal(s, s, tol)
 
 
 def test_empty_pool_rejected():

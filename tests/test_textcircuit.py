@@ -76,6 +76,8 @@ def test_parse_accepts_crlf_and_comments():
         ("wires q\ngate H q\ninit q T\n", 3, "init must come before"),
         ("wires q\ninit q T\ninit q F\n", 3, "already initialized"),
         ("wires q r\ninit q q epr\n", 2, "distinct"),
+        ("wires q r\ninit q T\ninit q r epr\n", 3, "wire 'q' already initialized"),
+        ("wires q r s\ninit r T\ninit q r epr\n", 3, "wire 'r' already initialized"),
         ("wires q\ninit q BAD\n", 2, "unknown init state"),
         ("wires q\ninit q\n", 2, "malformed init"),
         ("wires q r\ncgate X q q\n", 2, "distinct"),

@@ -92,6 +92,11 @@ def test_bind_accepts_continuations():
     assert dev(out, [R, R]) < 1e-15
 
 
+def test_bind_rejects_continuations_over_differing_bases():
+    with pytest.raises(BasisMismatchError, match="continuation returned vectors over differing bases"):
+        bind(named_state("qFT"), lambda a: unit(B, a) if a else unit(product([B, B]), (a, a)))
+
+
 def test_tensor_golden_values():
     assert dev(tensor(named_state("qFT"), named_state("qFalse")), [R, 0, R, 0]) < 1e-15
     assert dev(tensor(named_state("qFalse"), named_state("qFalse")),
