@@ -182,24 +182,20 @@ def weaken() -> Superoperator:
 
 @dataclass(frozen=True)
 class DemoCircuit:
-    name: str
-    description: str
     build: Callable[[], Superoperator]
     default_input: Callable[[], DensityMatrix]
     expected_output: Callable[[], DensityMatrix]
 
 
 CATALOG: dict[str, DemoCircuit] = {
+    # doubly-controlled not on (top, middle, bottom), input |T,T,F>
     "toffoli": DemoCircuit(
-        name="toffoli",
-        description="doubly-controlled not on (top, middle, bottom), input |T,T,F>",
         build=toffoli_super,
         default_input=lambda: pure_density(unit(_B3, (True, True, False))),
         expected_output=lambda: pure_density(unit(_B3, (True, True, True))),
     ),
+    # teleport the superposed qubit qFT over a shared entangled pair
     "teleport": DemoCircuit(
-        name="teleport",
-        description="teleport the superposed qubit qFT over a shared entangled pair",
         build=teleport,
         default_input=lambda: prepare_teleport_input(named_state("qFT")),
         expected_output=lambda: pure_density(named_state("qFT")),

@@ -6,9 +6,11 @@ Subcommands:
 * ``demo <name>``: run a catalog circuit on its documented default input.
 * ``laws``: run the twelve law suites and print the report table.
 
-Exit codes: 0 success, 2 usage errors, unreadable files and parse/route
-diagnostics (printed to stderr), 3 numerical validation failure or a density
-too large for memory, 1 law-suite failure.
+Exit codes (failures are reported on stderr in ``error:`` lines): 0 success,
+1 law-suite failure, 2 usage errors (a text ``--precision`` of 2**31 or more
+among them), unreadable files and parse/route diagnostics, 3 numerical
+validation failure or a density or text table too large for memory, 141
+standard output closed early (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -29,24 +31,30 @@ _TELEPORT_TOL = 1e-9
 # result, plus up to 8 densities' worth of floats and strings while the result
 # is emitted (5-8 measured at 8-10 wires; routing alone peaks at 4).
 _PEAK_DENSITIES = 10
+_TEXT_PRECISION = 4  # the text table's default decimals, which the budget above covers
+# Each further decimal costs about 3.1 bytes (tracemalloc: 3.06-3.25 at 3-5
+# wires) per number of the text table's 2 * 4**k while it is built; 4 leaves headroom.
+_TABLE_BYTES_PER_DIGIT = 4
+_MAX_TEXT_PRECISION = 2 ** 31 - 1  # str.format refuses more digits
+_CLOSED_OUTPUT = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qarrow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="compile and run a circuit file")
+    emit = argparse.ArgumentParser(add_help=False)
+    emit.add_argument("--format", choices=("text", "json"), default="text")
+    emit.add_argument("--precision", type=_precision, default=None,
+                      help="decimals in the emitted density (text default: 4)")
+
+    run_p = sub.add_parser("run", parents=[emit], help="compile and run a circuit file")
     run_p.add_argument("file", help="path to a circuit description")
-    run_p.add_argument("--format", choices=("text", "json"), default="text")
-    run_p.add_argument("--precision", type=_precision, default=None,
-                       help="decimals in the emitted density (text default: 4)")
     run_p.add_argument("--validate-input", action="store_true",
                        help="refuse inputs that are not unit-trace Hermitian PSD at tol 1e-6")
 
-    demo_p = sub.add_parser("demo", help="run a catalog circuit on its default input")
+    demo_p = sub.add_parser("demo", parents=[emit], help="run a catalog circuit on its default input")
     demo_p.add_argument("name", choices=sorted(CATALOG))
-    demo_p.add_argument("--format", choices=("text", "json"), default="text")
-    demo_p.add_argument("--precision", type=_precision, default=None)
 
     laws_p = sub.add_parser("laws", help="run the monad and arrow law suites")
     laws_p.add_argument("--seed", type=_seed, default=42)
@@ -86,11 +94,19 @@ def _memory_limit() -> int:
         return limit
 
 
+def _fits(entries: int, args) -> bool:
+    """Whether emitting a density of ``entries`` entries stays under the memory limit."""
+    text_digits = args.precision if args.format == "text" and args.precision is not None else 0
+    extra_digits = max(text_digits - _TEXT_PRECISION, 0)
+    per_entry = _PEAK_DENSITIES * 16 + 2 * _TABLE_BYTES_PER_DIGIT * extra_digits
+    return entries * per_entry <= _memory_limit()
+
+
 def _emit_density(d: DensityMatrix, fmt: str, precision: int | None, out) -> None:
     if fmt == "json":
         print(json.dumps(to_json_dict(d, precision=precision)), file=out)
     else:
-        print(format_table(d, precision=4 if precision is None else precision), file=out)
+        print(format_table(d, precision=_TEXT_PRECISION if precision is None else precision), file=out)
 
 
 def _cmd_run(args, out, err) -> int:
@@ -107,7 +123,7 @@ def _cmd_run(args, out, err) -> int:
         print(f"error: {exc}", file=err)
         return 2
     try:
-        if _PEAK_DENSITIES * 16 * 4 ** len(ir.wires) > _memory_limit():
+        if not _fits(4 ** len(ir.wires), args):
             raise MemoryError
         rho = initial_density(ir)
         if args.validate_input:
@@ -120,21 +136,25 @@ def _cmd_run(args, out, err) -> int:
                     file=err,
                 )
                 return 3
-        result = routed.apply(rho)
+        _emit_density(routed.apply(rho), args.format, args.precision, out)
     except MemoryError:
         print(f"error: the density of a {len(ir.wires)}-wire circuit does not fit in memory", file=err)
         return 3
-    _emit_density(result, args.format, args.precision, out)
     return 0
 
 
 def _cmd_demo(args, out, err) -> int:
     entry = CATALOG[args.name]
     result = entry.build().apply(entry.default_input())
+    if not _fits(result.matrix.size, args):
+        print(f"error: the {args.name} density does not fit in memory at this precision", file=err)
+        return 3
     _emit_density(result, args.format, args.precision, out)
     if args.name == "teleport":
         deviation = max_abs_diff(result, entry.expected_output())
-        print(f"max deviation from expected output: {deviation:.3e}", file=out)
+        # in JSON mode stdout holds the one JSON document and nothing else
+        print(f"max deviation from expected output: {deviation:.3e}",
+              file=err if args.format == "json" else out)
         if deviation > _TELEPORT_TOL:
             print(f"error: teleport deviated by {deviation:.3e} (tol {_TELEPORT_TOL})", file=err)
             return 3
@@ -162,6 +182,9 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.command != "laws" and args.format == "text" and (args.precision or 0) > _MAX_TEXT_PRECISION:
+        print(f"error: a text --precision must be at most {_MAX_TEXT_PRECISION}", file=err)
+        return 2
     if args.command == "run":
         return _cmd_run(args, out, err)
     if args.command == "demo":
@@ -170,7 +193,16 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # output that fit the buffer meets a closed pipe only here
+    except BrokenPipeError:
+        # the recipe in Python's signal docs: point stdout at devnull, so the
+        # interpreter's own flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the result was written", file=sys.stderr)
+        code = _CLOSED_OUTPUT
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -117,7 +117,8 @@ def _law(name: str, tol: float, instances: Iterable[tuple[float, tuple]]) -> Law
 
     A witness is ``(render, *values)`` with the values captured when its
     instance is drawn; ``render(*values)`` builds the text only for an
-    instance that is the worst seen so far.
+    instance that is the worst seen so far.  A law with no instance raises
+    ``ValueError`` rather than pass vacuously.
     """
     require_tolerance(tol)
     cases, max_residual, worst = 0, 0.0, "none"
@@ -125,6 +126,8 @@ def _law(name: str, tol: float, instances: Iterable[tuple[float, tuple]]) -> Law
         cases += 1
         if residual > max_residual or cases == 1:
             max_residual, worst = residual, render(*values)
+    if not cases:
+        raise ValueError(f"{name}: no instance was drawn, so the law would pass vacuously")
     return LawReport(name, cases, max_residual, max_residual <= tol, tol, worst)
 
 
@@ -146,8 +149,6 @@ def check_monad_laws(gen: SeededGenerator | None = None,
     ``bind_fn`` is injectable so the mutation fixtures can demonstrate the
     suite failing.
     """
-    if n_cases < 1:
-        raise ValueError("n_cases must be at least 1")
     gen = gen or SeededGenerator()
     bases = list(bases) if bases is not None else default_bases()
 
@@ -304,17 +305,14 @@ def skipping_bind(v: StateVector, f) -> StateVector:
 
 def first_without_dual(s: Superoperator, carried: Basis) -> Superoperator:
     """Broken first that reuses the primary carried index on the dual side."""
+    lifted = first(s, carried)
     n_a = s.input_basis.size
     n_b = s.output_basis.size
     n_d = carried.size
-    blocks = s.matrix.reshape(n_a, n_a, n_b, n_b)
-    eye = np.eye(n_d)
-    # both carried output indices track d1; d2 is ignored
-    partial = np.einsum("ijkl,mn,mp->imjknlp", blocks, eye, eye)
-    m = np.broadcast_to(partial[:, :, :, None], (n_a, n_d, n_a, n_d, n_b, n_d, n_b, n_d))
-    return Superoperator(
-        product([s.input_basis, carried]),
-        product([s.output_basis, carried]),
-        m.reshape((n_a * n_d) ** 2, (n_b * n_d) ** 2),
-        name="broken-first",
-    )
+    full = lifted.matrix.reshape(n_a, n_d, n_a, n_d, n_b, n_d, n_b, n_d)
+    # read first's entries at d2 == d1, so both carried output indices track
+    # d1, and repeat them for every d2: d2 is ignored
+    tied = np.einsum("imjmknlp->imjknlp", full)
+    m = np.broadcast_to(tied[:, :, :, None], full.shape)
+    return Superoperator(lifted.input_basis, lifted.output_basis, m.reshape(lifted.matrix.shape),
+                         name="broken-first")

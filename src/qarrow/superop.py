@@ -10,9 +10,10 @@ Measurement and the left partial trace complete it.  Linearity means two
 superoperators that agree on every basis block agree on every density, so
 :func:`extensional_equal` compares blocks entrywise.
 
-All construction is deterministic: each primitive writes its nonzero entries
-into zeros with one numpy index assignment (one axis per row-major label
-index), so identical inputs give bit-identical matrices.
+All construction is deterministic, so identical inputs give bit-identical
+matrices: ``arr``, ``first``, ``trace_left`` and ``measure`` write their
+nonzeros into zeros with one numpy index assignment, ``lin2super`` is one
+broadcast product and ``second`` one transpose of ``first``'s axes.
 """
 
 from __future__ import annotations
@@ -178,10 +179,9 @@ def measure(basis: Basis) -> Superoperator:
     n = basis.size
     out_basis = product([basis, basis])
     n_out = out_basis.size
+    a = np.arange(n)
     m = np.zeros((n * n, n_out * n_out), dtype=complex)
-    # the n nonzero entries, row (a, a) at column ((a, a), (a, a)), sit at
-    # flat offsets a * (n + 1) * (n^4 + n^2 + 1): one strided slice
-    m.reshape(-1)[::(n + 1) * (n ** 4 + n * n + 1)] = 1.0
+    m.reshape(n, n, n, n, n, n)[a, a, a, a, a, a] = 1.0
     return Superoperator(basis, out_basis, m, name=f"measure({n})")
 
 

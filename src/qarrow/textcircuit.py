@@ -20,6 +20,11 @@ axis per live wire and contracts each stage with its own wires' axes, so
 no permutation or regrouping of the other wires is ever built.  The dense
 channel of the whole circuit is the same contraction run on every basis
 block, and is built only when asked for.
+
+Parsing yields a :class:`CircuitIR` of records in the paper's command form
+``outs <- f -< ins``: one :class:`Init` per ``init`` line, and one
+:class:`Step` per ``gate``, ``cgate``, ``measure`` or ``discard`` line,
+each holding its directive, its operand wires in order and its line number.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ class CircuitError(ValueError):
 
 GATE_NAMES = ("H", "X", "PHASE", "Z", "APHASE")
 STATE_NAMES = {"F": "qFalse", "T": "qTrue", "FT": "qFT", "FmT": "qFmT"}
-_GATE_FORMS = {"gate": "gate <G> <wire>", "cgate": "cgate <G> <ctrl> <tgt>"}
+_STEP_FORMS = {"gate": "gate <G> <wire>", "cgate": "cgate <G> <ctrl> <tgt>",
+               "measure": "measure <wire>", "discard": "discard <wire>"}
 
 
 def gate_op(name: str) -> LinearOp:
@@ -58,34 +64,21 @@ def gate_op(name: str) -> LinearOp:
 
 
 @dataclass(frozen=True)
-class GateStep:
-    gate: str
+class Step:
+    """One ``gate``, ``cgate``, ``measure`` or ``discard`` line: its operand wires in order."""
+
+    directive: str
     wires: tuple[str, ...]
     line: int
+    gate: str | None = None
 
 
 @dataclass(frozen=True)
-class MeasureStep:
-    wire: str
-    line: int
+class Init:
+    """One ``init`` line; ``state`` is a key of :data:`STATE_NAMES`, or ``"epr"`` for a pair."""
 
-
-@dataclass(frozen=True)
-class DiscardStep:
-    wire: str
-    line: int
-
-
-@dataclass(frozen=True)
-class StateInit:
-    wire: str
+    wires: tuple[str, ...]
     state: str
-    line: int
-
-
-@dataclass(frozen=True)
-class EprInit:
-    wires: tuple[str, str]
     line: int
 
 
@@ -104,12 +97,11 @@ def parse_circuit(text: str) -> CircuitIR:
     initialized: set[str] = set()
     live: set[str] = set()
 
-    def known_live_wire(lineno: int, w: str) -> str:
+    def known_live_wire(lineno: int, w: str) -> None:
         if wires is None or w not in wires:
             raise CircuitError(lineno, f"unknown wire {w!r}")
         if w not in live:
             raise CircuitError(lineno, f"wire {w!r} used after discard")
-        return w
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -138,55 +130,39 @@ def parse_circuit(text: str) -> CircuitIR:
         if head == "init":
             if steps:
                 raise CircuitError(lineno, "init must come before the first gate, measure or discard")
-            if len(args) == 2:
-                w, state = args
-                known_live_wire(lineno, w)
-                if state not in STATE_NAMES:
-                    valid = ", ".join(STATE_NAMES)
-                    raise CircuitError(lineno, f"unknown init state {state!r}; expected one of {valid}")
-                if w in initialized:
-                    raise CircuitError(lineno, f"wire {w!r} already initialized")
-                initialized.add(w)
-                inits.append(StateInit(w, state, lineno))
-            elif len(args) == 3 and args[2] == "epr":
-                w1, w2 = args[0], args[1]
-                known_live_wire(lineno, w1)
-                known_live_wire(lineno, w2)
-                if w1 == w2:
-                    raise CircuitError(lineno, "epr init needs two distinct wires")
-                if w1 in initialized or w2 in initialized:
-                    which = w1 if w1 in initialized else w2
-                    raise CircuitError(lineno, f"wire {which!r} already initialized")
-                initialized.update((w1, w2))
-                inits.append(EprInit((w1, w2), lineno))
-            else:
+            if not (len(args) == 2 or len(args) == 3 and args[2] == "epr"):
                 raise CircuitError(
                     lineno, "malformed init; expected 'init <wire> <state>' or 'init <wire> <wire> epr'"
                 )
-        elif head in _GATE_FORMS:
-            if len(args) != _GATE_FORMS[head].count("<"):  # one argument per placeholder
-                raise CircuitError(lineno, f"malformed {head}; expected '{_GATE_FORMS[head]}'")
-            g, *operands = args
-            if g not in GATE_NAMES:
+            *operands, state = args
+            for w in operands:
+                known_live_wire(lineno, w)
+            if len(operands) == 1 and state not in STATE_NAMES:
+                valid = ", ".join(STATE_NAMES)
+                raise CircuitError(lineno, f"unknown init state {state!r}; expected one of {valid}")
+            if len(set(operands)) < len(operands):
+                raise CircuitError(lineno, "epr init needs two distinct wires")
+            for w in operands:
+                if w in initialized:
+                    raise CircuitError(lineno, f"wire {w!r} already initialized")
+            initialized.update(operands)
+            inits.append(Init(tuple(operands), state, lineno))
+        elif head in _STEP_FORMS:
+            form = _STEP_FORMS[head]
+            if len(args) != form.count("<"):  # one argument per placeholder
+                raise CircuitError(lineno, f"malformed {head}; expected '{form}'")
+            g, *operands = args if "<G>" in form else [None, *args]
+            if g is not None and g not in GATE_NAMES:
                 raise CircuitError(lineno, f"unknown gate {g!r}; expected one of {', '.join(GATE_NAMES)}")
             for w in operands:
                 known_live_wire(lineno, w)
             if len(set(operands)) < len(operands):
                 raise CircuitError(lineno, "control and target must be distinct wires")
-            steps.append(GateStep(g, tuple(operands), lineno))
-        elif head == "measure":
-            if len(args) != 1:
-                raise CircuitError(lineno, "malformed measure; expected 'measure <wire>'")
-            w = known_live_wire(lineno, args[0])
-            steps.append(MeasureStep(w, lineno))
-        elif head == "discard":
-            if len(args) != 1:
-                raise CircuitError(lineno, "malformed discard; expected 'discard <wire>'")
-            w = known_live_wire(lineno, args[0])
-            if len(live) == 1:
-                raise CircuitError(lineno, f"cannot discard {w!r}: it is the last live wire")
-            live.remove(w)
-            steps.append(DiscardStep(w, lineno))
+            if head == "discard":
+                if len(live) == 1:
+                    raise CircuitError(lineno, f"cannot discard {operands[0]!r}: it is the last live wire")
+                live.remove(operands[0])
+            steps.append(Step(head, tuple(operands), lineno, g))
         else:
             raise CircuitError(lineno, f"unknown directive {head!r}")
 
@@ -260,6 +236,7 @@ _BOOL = bool_basis()
 _DECOHERE = measure(_BOOL) >> trace_left(product([_BOOL, _BOOL]))
 # trace one wire away, leaving the one-label unit basis
 _DISCARD = trace_left(product([_BOOL, Basis([()])]))
+_STEP_OPS = {"measure": _DECOHERE, "discard": _DISCARD}
 
 
 def route(ir: CircuitIR) -> RoutedPipeline:
@@ -267,28 +244,23 @@ def route(ir: CircuitIR) -> RoutedPipeline:
     live = list(ir.wires)
     stages: list[RoutedStage] = []
     for step in ir.steps:
-        if isinstance(step, GateStep):
+        if step.gate is None:
+            op = _STEP_OPS[step.directive]
+            description = f"{step.directive} {step.wires[0]}"
+        else:
             base = gate_op(step.gate)
             op = lin2super(controlled(base) if len(step.wires) == 2 else base)
-            stages.append(RoutedStage(f"apply {step.gate} on {','.join(step.wires)}", step.wires, op))
-        elif isinstance(step, MeasureStep):
-            stages.append(RoutedStage(f"measure {step.wire}", (step.wire,), _DECOHERE))
-        elif isinstance(step, DiscardStep):
-            stages.append(RoutedStage(f"discard {step.wire}", (step.wire,), _DISCARD))
-            live.remove(step.wire)
-        else:  # pragma: no cover - parse produces only the three step kinds
-            raise TypeError(f"unknown step {step!r}")
+            description = f"apply {step.gate} on {','.join(step.wires)}"
+        if step.directive == "discard":
+            live.remove(step.wires[0])
+        stages.append(RoutedStage(description, step.wires, op))
     return RoutedPipeline(ir.wires, tuple(live), tuple(stages))
 
 
 def initial_density(ir: CircuitIR) -> DensityMatrix:
     """Pure input density from the init directives; unmentioned wires are F."""
-    chunks: list[tuple[tuple[str, ...], np.ndarray]] = []
-    for init in ir.inits:
-        if isinstance(init, StateInit):
-            chunks.append(((init.wire,), named_state(STATE_NAMES[init.state]).amplitudes))
-        else:
-            chunks.append((init.wires, named_state("epr").amplitudes))
+    chunks = [(init.wires, named_state(STATE_NAMES.get(init.state, init.state)).amplitudes)
+              for init in ir.inits]
     initialized = {w for chunk in chunks for w in chunk[0]}
     chunks += [((w,), named_state("qFalse").amplitudes) for w in ir.wires if w not in initialized]
 

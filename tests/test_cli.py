@@ -3,19 +3,25 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qarrow
 from qarrow import cli
 from qarrow.basis import bool_basis, product
 from qarrow.cli import main
 from qarrow.density import from_json_dict, max_abs_diff, pure_density
+from qarrow.laws import SeededGenerator, check_monad_laws
 from qarrow.textcircuit import initial_density, parse_circuit, route
 from qarrow.vector import unit
+from test_textcircuit import circuit_texts
 
 
 def run_cli(argv):
@@ -260,3 +266,144 @@ def test_python_dash_m_runs_the_command(module, tmp_path):
     ok = run(bundled_path("teleport.qc"))
     assert ok.returncode == 0, ok.stderr
     assert "F" in ok.stdout and "T" in ok.stdout
+
+
+def _h_file(tmp_path):
+    circuit = tmp_path / "h.qc"
+    circuit.write_text("wires a\ngate H a\n", encoding="utf-8")
+    return str(circuit)
+
+
+def _stub_emitters(monkeypatch):
+    """Replace both emitters by stubs that format nothing; return the calls made."""
+    called = []
+    monkeypatch.setattr(cli, "format_table", lambda *a, **k: called.append("format_table") or "")
+    monkeypatch.setattr(cli, "to_json_dict", lambda *a, **k: called.append("to_json_dict") or {})
+    return called
+
+
+def test_closed_output_exits_141_with_one_error_line(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+               PYTHONDONTWRITEBYTECODE="1")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody reads: the first write fails with EPIPE
+    try:
+        done = subprocess.run([sys.executable, "-m", "qarrow", "run", _h_file(tmp_path), "--format", "json"],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == "error: standard output was closed before the result was written\n"
+
+
+@pytest.mark.parametrize("command", [["run", "h.qc"], ["demo", "teleport"]])
+@pytest.mark.parametrize("precision", [2 ** 31, 10 ** 20])
+def test_text_precision_of_2_31_or_more_is_a_usage_error(tmp_path, monkeypatch, command, precision):
+    called = _stub_emitters(monkeypatch)
+    argv = [_h_file(tmp_path) if a == "h.qc" else a for a in command]
+    code, out, err = run_cli(argv + ["--precision", str(precision)])
+    assert (code, out, called) == (2, "", [])
+    assert err == "error: a text --precision must be at most 2147483647\n"
+
+
+@pytest.mark.parametrize("command", [["run", "h.qc"], ["demo", "teleport"]])
+@pytest.mark.parametrize("precision, expected", [(1000, 0), (1001, 3)])
+def test_the_memory_check_counts_the_text_tables_digits(tmp_path, monkeypatch, command, precision, expected):
+    called = _stub_emitters(monkeypatch)
+    argv = [_h_file(tmp_path) if a == "h.qc" else a for a in command]
+    # one wire out: 4 entries, each 160 bytes plus 8 per decimal past the fourth
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 4 * (160 + 8 * 996))
+    code, out, err = run_cli(argv + ["--precision", str(precision)])
+    assert code == expected, err
+    if expected == 0:
+        assert called == ["format_table"]
+    else:
+        assert (out, called) == ("", [])
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "does not fit in memory" in err
+
+
+def test_a_huge_text_precision_is_refused_by_the_memory_check(tmp_path, monkeypatch):
+    called = _stub_emitters(monkeypatch)
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 8 * 2 ** 30)
+    code, out, err = run_cli(["run", _h_file(tmp_path), "--precision", str(2 ** 31 - 1)])
+    assert (code, out, called) == (3, "", [])
+    assert err == "error: the density of a 1-wire circuit does not fit in memory\n"
+
+
+def test_json_accepts_a_precision_the_text_table_refuses(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 8 * 2 ** 30)
+    for precision in (2 ** 31 - 1, 2 ** 31, 10 ** 20):
+        code, out, err = run_cli(["run", _h_file(tmp_path), "--format", "json", "--precision", str(precision)])
+        assert code == 0, err
+        assert json.loads(out)["basis"] == ["F", "T"]
+
+
+@pytest.mark.parametrize("emitter, fmt", [("to_json_dict", "json"), ("format_table", "text")])
+def test_a_memory_error_while_emitting_exits_3(tmp_path, monkeypatch, emitter, fmt):
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, emitter, fail)
+    code, out, err = run_cli(["run", _h_file(tmp_path), "--format", fmt])
+    assert (code, out) == (3, "")
+    assert err == "error: the density of a 1-wire circuit does not fit in memory\n"
+
+
+def test_demo_teleport_json_is_one_document_and_the_deviation_goes_to_stderr():
+    code, out, err = run_cli(["demo", "teleport", "--format", "json"])
+    assert code == 0, err
+    density = from_json_dict(json.loads(out))
+    assert density.basis == bool_basis()
+    line, = err.splitlines()
+    assert line.startswith("max deviation from expected output: ")
+    assert float(line.rsplit(" ", 1)[1]) <= 1e-9
+
+
+# no precision between 10**6 and 2**31 - 1: a host might accept that text table at several GB
+_PRECISIONS = ["-1", "0", "3", "17", str(2 ** 31), str(10 ** 20), "x"]
+_OPTIONS = {
+    "--format": st.sampled_from(["text", "json", "xml"]),
+    "--precision": st.sampled_from(_PRECISIONS),
+    "--seed": st.sampled_from(["0", "7", str(2 ** 64 - 1), "-1", str(2 ** 64), "x"]),
+    "--tol": st.sampled_from(["1e-9", "1e-6", "0", "-1", "nan", "inf", "x"]),
+}
+_MISSING, _LATIN1 = "missing", "latin-1"
+_CIRCUITS = circuit_texts().filter(lambda text: len(text.split("\n", 1)[0].split()) <= 4)  # up to 3 wires
+
+
+@st.composite
+def cli_argvs(draw):
+    """(argv, file contents); a ``run`` argv ends in the placeholder ``FILE``."""
+    command = draw(st.sampled_from(["run", "run", "run", "demo", "demo", "laws", "frobnicate"]))
+    own = ["--seed", "--tol"] if command == "laws" else ["--format", "--precision"]
+    names = draw(st.lists(st.sampled_from(own), unique=True))
+    if draw(st.integers(0, 4)) == 0:  # now and then an option the subcommand does not take
+        names.append(draw(st.sampled_from(sorted(set(_OPTIONS) - set(own)))))
+    argv = [command]
+    for name in names:
+        argv += [name, draw(_OPTIONS[name])]
+    contents = None
+    if command == "run":
+        contents = draw(st.sampled_from([_MISSING, _LATIN1]) if draw(st.integers(0, 4)) == 0 else _CIRCUITS)
+        argv.append("FILE")
+    elif command == "demo":
+        argv.append(draw(st.sampled_from(["toffoli", "teleport", "nosuch"])))
+    return argv, contents
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argvs())
+def test_main_never_raises(drawn):
+    argv, contents = drawn
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            cli, "run_all", lambda seed, tol: check_monad_laws(SeededGenerator(seed), n_cases=1, tol=tol)):
+        path = Path(tmp) / "circuit.qc"
+        if contents == _LATIN1:
+            path.write_bytes("wires q\n# caf\xe9\n".encode("latin-1"))
+        elif contents not in (None, _MISSING):
+            path.write_text(contents, encoding="utf-8")
+        code, out, err = run_cli([str(path) if a == "FILE" else a for a in argv])
+    assert type(code) is int and code in {0, 1, 2, 3}
+    if code == 0 and "json" in argv:
+        json.loads(out)

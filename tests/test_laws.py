@@ -135,6 +135,11 @@ def test_empty_pool_rejected():
         check_arrow_laws(SeededGenerator(1), pool=[])
 
 
+def test_monad_suite_without_bases_raises_instead_of_passing_vacuously():
+    with pytest.raises(ValueError, match="monad/left-identity: no instance was drawn"):
+        check_monad_laws(SeededGenerator(1), bases=[])
+
+
 def test_n_cases_must_be_positive():
     with pytest.raises(ValueError):
         check_monad_laws(SeededGenerator(1), n_cases=0)

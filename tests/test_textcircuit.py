@@ -25,10 +25,8 @@ from qarrow.textcircuit import (
     GATE_NAMES,
     STATE_NAMES,
     CircuitError,
-    DiscardStep,
-    GateStep,
-    MeasureStep,
-    StateInit,
+    Init,
+    Step,
     gate_op,
     initial_density,
     parse_circuit,
@@ -47,22 +45,22 @@ def test_parse_the_bundled_toffoli_file():
     ir = parse_circuit(bundled("toffoli.qc"))
     assert ir.wires == ("a", "b", "c")
     assert len(ir.steps) == 7
-    assert ir.steps[0] == GateStep("H", ("c",), 6)
-    assert ir.steps[1] == GateStep("PHASE", ("b", "c"), 7)
-    assert [type(s) for s in ir.steps].count(GateStep) == 7
-    assert ir.inits == (StateInit("a", "T", 4), StateInit("b", "T", 5))
+    assert ir.steps[0] == Step("gate", ("c",), 6, "H")
+    assert ir.steps[1] == Step("cgate", ("b", "c"), 7, "PHASE")
+    assert [s.gate is not None for s in ir.steps].count(True) == 7
+    assert ir.inits == (Init(("a",), "T", 4), Init(("b",), "T", 5))
 
 
 def test_parse_a_minimal_circuit():
     ir = parse_circuit("wires q\ngate H q\n")
     assert ir.wires == ("q",)
-    assert ir.steps == (GateStep("H", ("q",), 2),)
+    assert ir.steps == (Step("gate", ("q",), 2, "H"),)
     assert ir.inits == ()
 
 
 def test_parse_accepts_crlf_and_comments():
     ir = parse_circuit("wires q r\r\n# a comment\r\nmeasure q  # trailing\r\ndiscard r\r\n")
-    assert ir.steps == (MeasureStep("q", 3), DiscardStep("r", 4))
+    assert ir.steps == (Step("measure", ("q",), 3), Step("discard", ("r",), 4))
 
 
 @pytest.mark.parametrize(
@@ -296,15 +294,15 @@ def _oracle(ir):
     live = list(ir.wires)
     s = identity_arr(_wires_basis(len(live)))
     for step in ir.steps:
-        if isinstance(step, GateStep):
+        if step.gate is not None:
             base = gate_op(step.gate)
             op = lin2super(controlled(base) if len(step.wires) == 2 else base)
             s = s >> _oracle_step(op, step.wires, live)
-        elif isinstance(step, MeasureStep):
-            s = s >> _oracle_step(measure(B) >> trace_left(product([B, B])), (step.wire,), live)
+        elif step.directive == "measure":
+            s = s >> _oracle_step(measure(B) >> trace_left(product([B, B])), step.wires, live)
         else:
-            s = s >> _oracle_step(None, (step.wire,), live)
-            live.remove(step.wire)
+            s = s >> _oracle_step(None, step.wires, live)
+            live.remove(step.wires[0])
     return s
 
 
