@@ -39,8 +39,17 @@ _MAX_TEXT_PRECISION = 2 ** 31 - 1  # str.format refuses more digits
 _CLOSED_OUTPUT = 141
 
 
+class _UsageError(Exception):
+    """A rejected command line: the usage text and an ``error:`` line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # raise, so that main() reports it on its own err
+        raise _UsageError(f"{self.format_usage()}error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qarrow", description=__doc__)
+    parser = _Parser(prog="qarrow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     emit = argparse.ArgumentParser(add_help=False)
@@ -180,7 +189,10 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except _UsageError as exc:
+        print(exc, file=err)
+        return 2
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     if args.command != "laws" and args.format == "text" and (args.precision or 0) > _MAX_TEXT_PRECISION:
         print(f"error: a text --precision must be at most {_MAX_TEXT_PRECISION}", file=err)

@@ -26,6 +26,13 @@ class DensityMatrix:
         self.basis = basis
         self._matrix = frozen_array(matrix, (basis.size, basis.size))
 
+    @classmethod
+    def _owning(cls, basis: Basis, matrix: np.ndarray) -> "DensityMatrix":
+        """A density around ``matrix``, an array the library has just made: frozen, not copied."""
+        d = cls.__new__(cls)
+        d.basis, d._matrix = basis, frozen_array(matrix, (basis.size, basis.size), copy=False)
+        return d
+
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix

@@ -125,14 +125,10 @@ def lin_tensor(f: LinearOp, g: LinearOp) -> LinearOp:
     )
 
 
-def compose(f, g):
-    """Diagrammatic composition: ``f`` acts first, then ``g``.
-
-    An operator and a :class:`~qarrow.superop.Superoperator` both store an
-    input x output matrix, so both compose by matrix product into ``type(f)``.
-    """
+def compose(f: LinearOp, g: LinearOp) -> LinearOp:
+    """Diagrammatic composition: ``f`` acts first, then ``g``; a matrix product."""
     if f.output_basis != g.input_basis:
         raise BasisMismatchError(
             f"cannot compose: {f.output_basis!r} feeds into {g.input_basis!r}"
         )
-    return type(f)(f.input_basis, g.output_basis, f.matrix @ g.matrix)
+    return LinearOp(f.input_basis, g.output_basis, f.matrix @ g.matrix)

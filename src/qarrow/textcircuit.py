@@ -16,10 +16,11 @@ order, and a small channel on just those wires (the lifted gate or its
 controlled form, a one-wire decoherence for ``measure``, a partial trace
 for ``discard``).  This is the paper's ``first f`` = f (x) id read locally:
 the routed pipeline holds densities as tensors with a row and a column
-axis per live wire and contracts each stage with its own wires' axes, so
-no permutation or regrouping of the other wires is ever built.  The dense
-channel of the whole circuit is the same contraction run on every basis
-block, and is built only when asked for.
+axis per wire and contracts each stage with its own wires' axes, by the
+kernel that ``Superoperator.apply`` uses for a leaf, so no permutation or
+regrouping of the other wires is ever built.  The dense channel of the
+whole circuit is the same contraction run on every basis block, and is
+built only when asked for.
 
 Parsing yields a :class:`CircuitIR` of records in the paper's command form
 ``outs <- f -< ins``: one :class:`Init` per ``init`` line, and one
@@ -37,7 +38,7 @@ import numpy as np
 from .basis import Basis, BasisMismatchError, bool_basis, product
 from .density import DensityMatrix, pure_density
 from .linear import LinearOp, adjoint, controlled, gate
-from .superop import Superoperator, lin2super, measure, trace_left
+from .superop import Superoperator, contract, lin2super, measure, trace_left
 from .vector import StateVector, named_state
 
 
@@ -189,26 +190,21 @@ class RoutedPipeline:
     def _run(self, batch: np.ndarray) -> np.ndarray:
         """Push a batch of matrices over the input wires through every stage.
 
-        Each matrix is held with one row axis and one column axis per live
-        wire.  A stage contracts its ``op`` with its own wires' axes only,
-        which is ``first op`` read locally: every other axis passes through,
-        and the op's new row and column axes move back to its wires' places.
-        An ``op`` whose output basis has one label removes its wires.
+        Each matrix is held with one row axis and one column axis per input
+        wire.  A stage contracts its ``op`` with its own wires' axes only (see
+        :func:`~qarrow.superop.contract`), which is ``first op`` read locally:
+        every other axis passes through.  A discarded wire's axes shrink to
+        size 1, since its ``op``'s output basis has one label.
         """
         n = batch.shape[0]
-        live = list(self.input_wires)
-        t = batch.reshape((n,) + (2,) * (2 * len(live)))
+        wires = self.input_wires
+        t = batch.reshape((n,) + (2,) * (2 * len(wires)))
         for stage in self.stages:
-            rows = [1 + live.index(w) for w in stage.wires]  # axis 0 is the batch
-            axes = rows + [len(live) + r for r in rows]
-            keeps = stage.op.output_basis.size > 1
-            op = stage.op.matrix.reshape((2,) * (len(axes) * (2 if keeps else 1)))
-            t = np.tensordot(t, op, (axes, range(len(axes))))
-            if keeps:
-                t = np.moveaxis(t, range(t.ndim - len(axes), t.ndim), axes)
-            else:
-                live = [w for w in live if w not in stage.wires]
-        m = 2 ** len(live)
+            rows = [1 + wires.index(w) for w in stage.wires]  # axis 0 is the batch
+            axes = rows + [len(wires) + r for r in rows]
+            size = 2 if stage.op.output_basis.size > 1 else 1
+            t = contract(t, stage.op.matrix, axes, (size,) * len(axes))
+        m = 2 ** len(self.output_wires)
         return t.reshape(n, m, m)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:

@@ -65,9 +65,14 @@ class StateVector:
         return f"StateVector({self.basis!r}, {np.array2string(self._amps, precision=4)})"
 
 
-def frozen_array(data, shape: tuple[int, ...]) -> np.ndarray:
-    """Read-only complex copy of ``data``, which must have ``shape``; all value types use it."""
-    a = np.array(data, dtype=complex)
+def frozen_array(data, shape: tuple[int, ...], copy: bool = True) -> np.ndarray:
+    """Read-only complex array of ``data``, which must have ``shape``; all value types use it.
+
+    The public constructors copy, so a caller's array stays the caller's.
+    ``copy=False`` is for an array the library has just made and hands over:
+    it is frozen in place.
+    """
+    a = np.array(data, dtype=complex) if copy else np.asarray(data, dtype=complex)
     if a.shape != shape:
         raise ValueError(f"expected shape {shape}, got {a.shape}")
     a.setflags(write=False)

@@ -139,11 +139,11 @@ def test_laws_exits_1_and_names_the_worst_case_when_a_law_fails(monkeypatch):
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
-def test_laws_rejects_a_tolerance_that_is_not_positive_and_finite(tol, capsys):
-    code, out, _ = run_cli(["laws", "--tol", tol])
+def test_laws_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    code, out, err = run_cli(["laws", "--tol", tol])
     assert code == 2
     assert out == ""
-    assert "tolerance must be a positive finite number" in capsys.readouterr().err
+    assert "tolerance must be a positive finite number" in err
 
 
 def test_unknown_subcommand_exits_2():
@@ -151,14 +151,24 @@ def test_unknown_subcommand_exits_2():
     assert code == 2
 
 
-def test_negative_precision_is_a_usage_error(tmp_path, capsys):
+def test_a_usage_error_prints_the_usage_and_one_error_line_to_err(capsys):
+    code, out, err = run_cli(["laws", "--seed", "x"])
+    assert code == 2
+    assert out == ""
+    usage, *_, last = err.splitlines()
+    assert usage.startswith("usage: qarrow laws")
+    assert last.startswith("error: argument --seed") and err.count("error:") == 1
+    assert capsys.readouterr() == ("", "")
+
+
+def test_negative_precision_is_a_usage_error(tmp_path):
     for argv in (["run", bundled_path("teleport.qc")],
                  ["run", bundled_path("teleport.qc"), "--format", "json"],
                  ["demo", "teleport"]):
-        code, out, _ = run_cli(argv + ["--precision", "-1"])
+        code, out, err = run_cli(argv + ["--precision", "-1"])
         assert code == 2
         assert out == ""
-        assert "precision must be a non-negative integer" in capsys.readouterr().err
+        assert "precision must be a non-negative integer" in err
 
 
 @pytest.mark.parametrize("precision", [300, 309, 400])

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from qarrow import superop
 from qarrow.basis import Basis, BasisMismatchError, bool_basis, product
+from qarrow.circuits import prepare_teleport_input, teleport, toffoli_super
 from qarrow.density import DensityMatrix, max_abs_diff, pure_density, zero_density
 from qarrow.linear import LinearOp, compose as compose_lin, controlled, gate, identity, lin_tensor
 from qarrow.superop import (
@@ -16,6 +21,7 @@ from qarrow.superop import (
     parallel,
     permute_arr,
     second,
+    Superoperator,
     trace_left,
 )
 from qarrow.vector import StateVector, bind, named_state, tensor, unit
@@ -383,3 +389,113 @@ def test_parallel_and_permute_arr_match_their_oracles():
     perm = lambda t: (t[2], t[0], t[1])
     assert np.array_equal(permute_arr((2, 0, 1), basis).matrix,
                           oracle_arr(perm, basis, product([B, B, RGB])))
+
+
+# A channel is a term with two interpreters: apply runs the term on the
+# density, .matrix folds it to the dense matrix.  The two must agree.
+FLAT = [B, BB, product([B, B, B])]
+
+
+def wire_count(basis):
+    return basis.size.bit_length() - 1
+
+
+@st.composite
+def random_arr(draw, src, dst):
+    # any total function: non-injective and non-surjective ones included
+    picks = draw(st.lists(st.integers(0, dst.size - 1), min_size=src.size, max_size=src.size))
+    table = {label: dst.element_at(k) for label, k in zip(src, picks)}
+    return arr(table.__getitem__, src, dst)
+
+
+@st.composite
+def channels(draw, depth=3, budget=3):
+    """A term of depth <= depth + 1 none of whose bases has more than ``budget`` bool wires."""
+    kinds = ["arr", "lift"] + (["measure", "trace_left"] if budget >= 2 else [])
+    if depth:
+        kinds += [">>"] + (["first", "second", "parallel"] if budget >= 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("arr", "lift"):
+        src, dst = draw(st.sampled_from(FLAT[:budget])), draw(st.sampled_from(FLAT[:budget]))
+        if kind == "arr":
+            return draw(random_arr(src, dst))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        m = rng.uniform(-1, 1, (src.size, dst.size)) + 1j * rng.uniform(-1, 1, (src.size, dst.size))
+        return lin2super(LinearOp(src, dst, m / np.linalg.norm(m, 2)))
+    if kind == "measure":
+        return measure(B)
+    if kind == "trace_left":
+        left = draw(st.sampled_from(FLAT[:budget - 1]))
+        return trace_left(product([left, draw(st.sampled_from(FLAT[:budget - wire_count(left)]))]))
+    if kind == ">>":
+        f, g = draw(channels(depth - 1, budget)), draw(channels(depth - 1, budget))
+        return f >> draw(random_arr(f.output_basis, g.input_basis)) >> g
+    if kind == "parallel":
+        split = draw(st.integers(1, budget - 1))
+        return parallel(draw(channels(depth - 1, split)), draw(channels(depth - 1, budget - split)))
+    carried = draw(st.sampled_from(FLAT[:min(2, budget - 1)]))
+    inner = draw(channels(depth - 1, budget - wire_count(carried)))
+    return (first if kind == "first" else second)(inner, carried)
+
+
+def random_matrix_density(seed, basis):
+    rng = np.random.default_rng(seed)
+    shape = (basis.size, basis.size)
+    return DensityMatrix(basis, rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+
+
+def check_interpreters_agree(s, d):
+    interpreted = s.apply(d).matrix.copy()
+    dense = Superoperator(s.input_basis, s.output_basis, s.matrix).apply(d).matrix
+    assert dev(interpreted, dense) <= 1e-12
+    # apply never switches to the matrix just read and cached
+    assert s.apply(d).matrix.tobytes() == interpreted.tobytes()
+
+
+@given(channels(), st.integers(0, 2 ** 32 - 1))
+def test_apply_agrees_with_the_dense_fold(s, seed):
+    check_interpreters_agree(s, random_matrix_density(seed, s.input_basis))
+
+
+@pytest.mark.parametrize("build", [teleport, toffoli_super])
+def test_apply_agrees_with_the_dense_fold_on_the_catalog(build):
+    for seed in range(3):
+        s = build()
+        check_interpreters_agree(s, random_matrix_density(seed, s.input_basis))
+
+
+def test_teleport_apply_folds_no_matrix(monkeypatch):
+    def refuse(s):
+        raise AssertionError(f"{s!r} was folded to a matrix")
+
+    monkeypatch.setattr(superop, "_fold", refuse)
+    out = teleport().apply(prepare_teleport_input(named_state("qFT")))
+    assert max_abs_diff(out, pure_density(named_state("qFT"))) < 1e-12
+
+
+def test_first_scales_past_the_dense_wall():
+    # 9 wires: the dense channel would be a 4**9 x 4**9 matrix (1 TiB)
+    carried = product([B] * 8)
+    h = lin2super(gate("hadamard"))
+    s = first(h, carried) >> first(h, carried)
+    rng = np.random.default_rng(83)
+    amps = rng.normal(size=2 ** 9) + 1j * rng.normal(size=2 ** 9)
+    d = pure_density(StateVector(s.input_basis, amps / np.linalg.norm(amps)))
+    tracemalloc.start()
+    try:
+        out = s.apply(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max_abs_diff(out, d) < 1e-12
+    assert peak < 8 * 16 * 4 ** 9
+
+
+def test_a_long_chain_applies_and_folds_without_recursion():
+    h = lin2super(gate("hadamard"))
+    s = h
+    for _ in range(4999):  # deeper than Python's recursion limit
+        s = s >> h
+    d = pure_density(named_state("qFT"))
+    assert max_abs_diff(s.apply(d), d) < 1e-9
+    assert max_difference(s, identity_arr(B)) < 1e-9

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qarrow.basis import BasisMismatchError, bool_basis, product
-from qarrow.linear import controlled, gate
+from qarrow.density import DensityMatrix
+from qarrow.linear import LinearOp, controlled, gate
+from qarrow.superop import Superoperator
 from qarrow.vector import StateVector, bind, dot, named_state, scale, tensor, unit, zero
 
 from oracle_bases import ORACLE_BASES
@@ -155,6 +157,20 @@ def test_amplitudes_are_read_only():
     v = named_state("qFT")
     with pytest.raises(ValueError):
         v.amplitudes[0] = 9.0
+
+
+@pytest.mark.parametrize("cls,bases,shape", [
+    (StateVector, (BB,), (4,)),
+    (LinearOp, (BB, BB), (4, 4)),
+    (DensityMatrix, (BB,), (4, 4)),
+    (Superoperator, (B, B), (4, 4)),
+])
+def test_constructors_copy_the_callers_array(cls, bases, shape):
+    data = np.arange(math.prod(shape), dtype=complex).reshape(shape)
+    value = cls(*bases, data)
+    data[...] = -1  # the caller's array stays writable
+    held = value.amplitudes if cls is StateVector else value.matrix
+    assert np.array_equal(held, np.arange(math.prod(shape)).reshape(shape))
 
 
 @pytest.mark.parametrize("left", ORACLE_BASES)
