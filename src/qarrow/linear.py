@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import Basis, BasisMismatchError, Label, bool_basis, product
-from .vector import StateVector, bind, frozen_array, iter_rows, require_same_basis
+from .vector import StateVector, bind, frozen_array, require_same_basis, tabulate
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -47,9 +47,7 @@ class LinearOp:
 
 def from_rows(fn: Callable[[Label], StateVector], input_basis: Basis, name: str | None = None) -> LinearOp:
     """Materialize a label-to-vector function; all rows must share one basis."""
-    rows = iter_rows(fn, input_basis, "rows")
-    out = next(rows)
-    return LinearOp(input_basis, out, np.stack(list(rows)), name=name)
+    return LinearOp(input_basis, *tabulate(fn, input_basis, "rows"), name=name)
 
 
 def fun2lin(fn: Callable[[Label], Label], input_basis: Basis, output_basis: Basis,

@@ -15,8 +15,10 @@ the term on the density and never builds the channel's matrix.
 
 Folds are deterministic, so identical inputs give bit-identical matrices:
 ``arr``, ``first``, ``trace_left`` and ``measure`` write their nonzeros into
-zeros with one index assignment, ``lin2super`` is one broadcast product,
-``second`` one transpose of ``first``'s axes and ``>>`` one matrix product.
+zeros with one index assignment, ``lin2super`` is one broadcast product and
+``second`` one transpose of ``first``'s axes.  ``>>`` is never a product of
+two channel matrices: the fold builds a chain's first channel and runs each
+later term on that matrix's blocks, as :func:`apply` runs it on a density.
 """
 
 from __future__ import annotations
@@ -57,10 +59,15 @@ class Superoperator:
         return self._matrix
 
     def block(self, a1: Label, a2: Label) -> DensityMatrix:
-        n_in = self.input_basis.size
-        n_out = self.output_basis.size
-        row = self.input_basis.index_of(a1) * n_in + self.input_basis.index_of(a2)
-        return DensityMatrix(self.output_basis, self.matrix[row].reshape(n_out, n_out))
+        """The output for the input pair (a1, a2), row (a1, a2) of ``.matrix``.
+
+        The paper's ``Super a b = (a,a) -> Dens b`` read at one pair: the
+        term runs on |a1><a2|, as :func:`apply` runs it, so no matrix is folded.
+        """
+        n = self.input_basis.size
+        t = np.zeros((n, n), dtype=complex)
+        t[self.input_basis.index_of(a1), self.input_basis.index_of(a2)] = 1.0
+        return DensityMatrix._owning(self.output_basis, _run(self, t, 0, 1))
 
     def apply(self, d: DensityMatrix) -> DensityMatrix:
         return apply(self, d)
@@ -141,7 +148,8 @@ def _relabel(t: np.ndarray, axis: int, target: np.ndarray, inverse, n_out: int) 
 
 
 def _fold(s: Superoperator) -> np.ndarray:
-    """The dense matrix of ``s``, reusing any matrix already read and caching none."""
+    """The dense matrix of ``s``: a chain's first channel is built (or its
+    matrix reused), and every later term runs on that matrix's blocks."""
     rights = []
     while s._matrix is None and s._term[0] == "compose":  # a left-nested chain, without recursion
         s, right = s._term[1:]
@@ -167,9 +175,11 @@ def _fold(s: Superoperator) -> np.ndarray:
         if not left:  # second: the swaps relabel (a1,d1,a2,d2) as (d1,a1,d2,a2), likewise out
             sizes = (n_a, n_d) * 2 + (n_b, n_d) * 2
             m = m.reshape(sizes).transpose(1, 0, 3, 2, 5, 4, 7, 6).reshape(m.shape)
+    n = s.output_basis.size
+    t = m.reshape(len(m), n, n)
     for right in reversed(rights):
-        m = m @ _fold(right)
-    return m
+        t = _run(right, t, 1, 2)
+    return t.reshape(len(m), -1)
 
 
 def compose(f: Superoperator, g: Superoperator) -> Superoperator:

@@ -79,16 +79,13 @@ def frozen_array(data, shape: tuple[int, ...], copy: bool = True) -> np.ndarray:
     return a
 
 
-def iter_rows(fn, basis: Basis, what: str):
-    """Yield the basis of ``fn``'s vectors over ``basis``, then each one's amplitudes as it is made."""
-    rows = map(fn, basis)
-    head = next(rows)
-    yield head.basis
-    yield head._amps
-    for row in rows:
-        if row.basis != head.basis:
-            raise BasisMismatchError(f"{what} returned vectors over differing bases")
-        yield row._amps
+def tabulate(fn, basis: Basis, what: str) -> tuple[Basis, np.ndarray]:
+    """``fn``'s vectors over ``basis`` as their one common basis and a matrix, one row per label."""
+    rows = [fn(label) for label in basis]
+    out = rows[0].basis
+    if any(row.basis != out for row in rows):
+        raise BasisMismatchError(f"{what} returned vectors over differing bases")
+    return out, np.stack([row._amps for row in rows])
 
 
 def require_same_basis(x, y) -> None:
@@ -124,21 +121,19 @@ def bind(v: StateVector, f) -> StateVector:
     ``f`` may be a :class:`~qarrow.linear.LinearOp` whose input basis matches
     ``v.basis``, or any callable mapping each basis label to a StateVector
     over one common output basis (the continuation form used when the output
-    of one step feeds the next).
+    of one step feeds the next).  A continuation is first tabulated into a
+    matrix, as :func:`~qarrow.linear.from_rows` does, so both forms bind by
+    one row-vector/matrix product.
     """
-    matrix = getattr(f, "matrix", None)
-    if matrix is not None:
-        if v.basis != f.input_basis:
-            raise BasisMismatchError(
-                f"cannot bind vector over {v.basis!r} through operator expecting {f.input_basis!r}"
-            )
-        return StateVector(f.output_basis, v.amplitudes @ matrix)
-    rows = iter_rows(f, v.basis, "continuation")
-    out_basis = next(rows)
-    acc = np.zeros(out_basis.size, dtype=complex)
-    for amp, row in zip(v.amplitudes, rows):
-        acc += amp * row
-    return StateVector(out_basis, acc)
+    if getattr(f, "matrix", None) is None:
+        out_basis, matrix = tabulate(f, v.basis, "continuation")
+    elif v.basis != f.input_basis:
+        raise BasisMismatchError(
+            f"cannot bind vector over {v.basis!r} through operator expecting {f.input_basis!r}"
+        )
+    else:
+        out_basis, matrix = f.output_basis, f.matrix
+    return StateVector(out_basis, v.amplitudes @ matrix)
 
 
 def tensor(v: StateVector, w: StateVector) -> StateVector:

@@ -127,3 +127,18 @@ def test_parse_label_rejects_garbage():
         parse_label("(F,T")
     with pytest.raises(ValueError):
         parse_label("")
+
+
+def test_element_at_rejects_an_index_out_of_range():
+    with pytest.raises(IndexError, match="index 2 out of range for basis of size 2"):
+        bool_basis().element_at(2)
+
+
+def test_membership_len_and_comparison_with_other_types():
+    b = bool_basis()
+    assert True in b
+    assert "maybe" not in b
+    assert [True] not in b  # unhashable: not an element rather than an error
+    assert len(product([b, b, b])) == 8
+    assert b != 3
+    assert (b == 3) is False

@@ -151,6 +151,12 @@ def test_unknown_subcommand_exits_2():
     assert code == 2
 
 
+def test_help_prints_the_usage_and_exits_0(capsys):
+    code, _, _ = run_cli(["--help"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("usage: qarrow")
+
+
 def test_a_usage_error_prints_the_usage_and_one_error_line_to_err(capsys):
     code, out, err = run_cli(["laws", "--seed", "x"])
     assert code == 2

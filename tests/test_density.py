@@ -164,3 +164,11 @@ def test_format_table_shows_labels_and_values():
 def test_max_abs_diff_requires_matching_bases():
     with pytest.raises(BasisMismatchError):
         max_abs_diff(pure_density(named_state("qFT")), pure_density(named_state("epr")))
+
+
+def test_density_subtraction_and_repr():
+    d = pure_density(named_state("qFT"))
+    assert dev((d - d).matrix, np.zeros((2, 2))) == 0
+    with pytest.raises(BasisMismatchError):
+        d - pure_density(named_state("epr"))
+    assert repr(d) == f"DensityMatrix({B!r})"

@@ -42,6 +42,35 @@ def test_run_all_yields_twelve_reports():
     assert all(r.passed for r in reports)
 
 
+# (name, cases) of the twelve reports, which no seed changes
+LAW_SHAPE = [
+    ("monad/left-identity", 700),
+    ("monad/right-identity", 150),
+    ("monad/associativity", 150),
+    ("arrow/left-identity", 6),
+    ("arrow/right-identity", 6),
+    ("arrow/associativity", 54),
+    ("arrow/arr-composes", 20),
+    ("arrow/first-arr", 20),
+    ("arrow/first-composes", 18),
+    ("arrow/first-exchange", 12),
+    ("arrow/first-drop", 6),
+    ("arrow/first-assoc", 6),
+]
+# the laws each mutation fixture must fail, and fails alone
+FIXTURE_FAILURES = {"monad/left-identity", "monad/right-identity", "arrow/first-arr"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 42])
+def test_law_reports_keep_their_shape(seed):
+    fixtures = (check_monad_laws(SeededGenerator(seed), bind_fn=skipping_bind)
+                + check_arrow_laws(SeededGenerator(seed), first_fn=first_without_dual))
+    for reports, failing in [(run_all(seed), set()), (fixtures, FIXTURE_FAILURES)]:
+        assert [(r.name, r.cases, r.passed) for r in reports] == [
+            (name, cases, name not in failing) for name, cases in LAW_SHAPE]
+        assert all(r.max_residual <= 1e-12 for r in reports if r.passed)
+
+
 def test_monad_cases_cover_each_basis():
     reports = check_monad_laws(SeededGenerator(1), n_cases=50, tol=1e-9)
     for report in reports:

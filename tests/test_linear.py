@@ -211,3 +211,8 @@ def test_lin_tensor_matches_the_kron_oracle(left):
     for right in ORACLE_BASES:
         f, g = random_op(rng, left, right), random_op(rng, right, B)
         assert np.array_equal(lin_tensor(f, g).matrix, np.kron(f.matrix, g.matrix))
+
+
+def test_repr_names_the_operator_or_its_shape():
+    assert repr(gate("hadamard")) == "LinearOp(hadamard)"
+    assert repr(LinearOp(B, BB, np.zeros((2, 4)))) == "LinearOp(2->4)"

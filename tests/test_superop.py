@@ -287,6 +287,59 @@ def test_block_access():
     assert s.block(False, True).trace() == 0
 
 
+def refuse_to_fold(s):
+    raise AssertionError(f"{s!r} was folded to a matrix")
+
+
+@pytest.mark.parametrize("build, exact", [
+    (lambda: lin2super(gate("hadamard")), True),
+    (lambda: lin2super(controlled(gate("qnot"))), True),
+    (lambda: measure(B), True),
+    (lambda: trace_left(BB), True),
+    (teleport, False),
+    (toffoli_super, False),
+])
+def test_block_is_the_matching_row_of_the_matrix(build, exact):
+    s = build()
+    n = s.input_basis.size
+    for i, a1 in enumerate(s.input_basis):
+        for j, a2 in enumerate(s.input_basis):
+            block = s.block(a1, a2).matrix.reshape(-1)
+            row = s.matrix[i * n + j]
+            assert np.array_equal(block, row) if exact else dev(block, row) <= 1e-12
+
+
+def test_block_runs_the_term_past_the_dense_wall(monkeypatch):
+    # 9 wires: the dense channel would be a 4**9 x 4**9 matrix (1 TiB)
+    h = lin2super(gate("hadamard"))
+    s = first(h, product([B] * 8))
+    monkeypatch.setattr(superop, "_fold", refuse_to_fold)
+    out = s.block((False, (True,) * 8), (True, (False,) * 8)).matrix.reshape(2, 256, 2, 256)
+    # the carried labels pass through: only their (T..T, F..F) slice holds h's block
+    assert np.array_equal(out[:, 255, :, 0], h.block(False, True).matrix)
+    assert np.count_nonzero(out) == np.count_nonzero(out[:, 255, :, 0]) == 4
+
+
+def test_a_chain_folds_its_first_channel_and_runs_the_rest(monkeypatch):
+    folded = []
+    fold = superop._fold
+    monkeypatch.setattr(superop, "_fold", lambda s: folded.append(s) or fold(s))
+    h = lin2super(gate("hadamard"))
+    s = h >> h >> h
+    assert dev(s.matrix, h.matrix) < 1e-15
+    assert folded == [s]
+
+
+def test_repr_names_the_channel_or_its_shape():
+    assert repr(lin2super(gate("hadamard"))) == "Superoperator(lift(hadamard))"
+    assert repr(Superoperator(B, BB, np.zeros((4, 16)))) == "Superoperator(2->4)"
+
+
+def test_max_difference_checks_bases():
+    with pytest.raises(BasisMismatchError, match="differing bases"):
+        max_difference(measure(B), lin2super(gate("hadamard")))
+
+
 # The constructors once filled their matrices with Python loops over labels,
 # np.kron and an einsum with two identities.  Those forms are kept here as
 # oracles: the numpy-indexed constructors must give equal matrices.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import qarrow
 from qarrow import superop
-from qarrow.basis import bool_basis, product
+from qarrow.basis import BasisMismatchError, bool_basis, product
 from qarrow.circuits import teleport, toffoli_super
 from qarrow.density import max_abs_diff, pure_density
 from qarrow.linear import controlled, gate
@@ -105,6 +105,12 @@ def test_routed_teleport_matches_the_catalog_circuit():
     routed = route(parse_circuit(bundled("teleport.qc")))
     assert routed.output_wires == ("eprR",)
     assert extensional_equal(routed.pipeline, teleport(), 1e-9).equal
+
+
+def test_routed_apply_checks_the_density_basis():
+    routed = route(parse_circuit("wires p q\ngate H q\n"))
+    with pytest.raises(BasisMismatchError, match=r"expects a density over wires \('p', 'q'\)"):
+        routed.apply(pure_density(named_state("qFT")))
 
 
 def test_single_wire_circuit_routes_without_permutations():

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from qarrow.basis import BasisMismatchError, bool_basis, product
 from qarrow.density import DensityMatrix
-from qarrow.linear import LinearOp, controlled, gate
+from qarrow.linear import LinearOp, controlled, from_rows, gate
 from qarrow.superop import Superoperator
-from qarrow.vector import StateVector, bind, dot, named_state, scale, tensor, unit, zero
+from qarrow.vector import StateVector, bind, dot, frozen_array, named_state, scale, tensor, unit, zero
 
 from oracle_bases import ORACLE_BASES
 
@@ -182,3 +182,32 @@ def test_tensor_matches_the_kron_oracle(left):
         out = tensor(v, w)
         assert out.basis == product([left, right])
         assert np.array_equal(out.amplitudes, np.kron(v.amplitudes, w.amplitudes))
+
+
+@given(st.sampled_from(ORACLE_BASES), st.sampled_from(ORACLE_BASES), st.integers(0, 2 ** 32 - 1))
+def test_bind_through_a_continuation_is_bind_through_its_table(src, dst, seed):
+    rng = np.random.default_rng(seed)
+    v = vec(src, rng.uniform(-1, 1, src.size) + 1j * rng.uniform(-1, 1, src.size))
+    table = rng.uniform(-1, 1, (src.size, dst.size)) + 1j * rng.uniform(-1, 1, (src.size, dst.size))
+    f = lambda a: vec(dst, table[src.index_of(a)])
+    out = bind(v, f)
+    assert out.basis == dst
+    assert out.amplitudes.tobytes() == bind(v, from_rows(f, src)).amplitudes.tobytes()
+    # the sum over paths, accumulated one row at a time: only the summation order differs
+    paths = sum(amp * f(a).amplitudes for amp, a in zip(v.amplitudes, src))
+    assert float(np.max(np.abs(out.amplitudes - paths))) <= 1e-12
+
+
+def test_vector_methods_and_operators():
+    v = named_state("qFT")
+    assert v.amplitude(True) == pytest.approx(R)
+    assert dev(v.bind(gate("hadamard")), [1, 0]) < 1e-15
+    assert v.dot(v) == pytest.approx(1)
+    assert dev(v * 2, [2 * R, 2 * R]) == 0
+    assert dev(-v, [-R, -R]) == 0
+    assert repr(unit(B, True)) == f"StateVector({B!r}, [0.+0.j 1.+0.j])"
+
+
+def test_frozen_array_rejects_a_wrong_shape():
+    with pytest.raises(ValueError, match=r"expected shape \(2,\), got \(3,\)"):
+        frozen_array([1, 2, 3], (2,))
