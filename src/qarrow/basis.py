@@ -4,12 +4,15 @@ Everything in this package is indexed by a :class:`Basis`: a finite, ordered
 collection of distinguishable labels.  Product bases enumerate component
 tuples in row-major order (leftmost factor varies slowest), which fixes the
 global indexing convention shared by vectors, operators, densities and
-channels.  Bases are immutable and freely shareable across threads.
+channels.  Bases are immutable and freely shareable across threads, so
+:func:`product` interns what it builds: the same factor objects give back
+the same product object, from a bounded cache keyed on their identities.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Any, Iterable, Iterator, Sequence
 
 Label = Any
@@ -35,11 +38,11 @@ class Basis:
         labels = tuple(labels)
         if not labels:
             raise ValueError("a basis needs at least one label")
-        index: dict[Label, int] = {}
-        for i, lab in enumerate(labels):
-            if lab in index:
-                raise ValueError(f"duplicate basis label {label_text(lab)}")
-            index[lab] = i
+        index = dict(zip(labels, range(len(labels))))
+        if len(index) < len(labels):  # name the first label that repeats an earlier one
+            seen: set = set()
+            dup = next(lab for lab in labels if lab in seen or seen.add(lab))
+            raise ValueError(f"duplicate basis label {label_text(dup)}")
         self._labels = labels
         self._index = index
         self._factors = tuple(factors) if factors is not None else None
@@ -104,21 +107,37 @@ def bool_basis() -> Basis:
     return _BOOL
 
 
+# Interned products, keyed by their factors' ids.  A product holds its
+# factors, so no id in a key is reused while the key is cached.
+_PRODUCTS: dict[tuple[int, ...], Basis] = {}
+_PRODUCTS_MAX = 256
+_PRODUCTS_LOCK = threading.Lock()
+
+
 def product(parts: Sequence[Basis]) -> Basis:
     """Product basis enumerating positional tuples in row-major order.
 
     The leftmost factor varies slowest.  Component labels are kept as given,
     so products of products carry nested tuples; row-major ordering makes a
     flattened relabelling a pure re-indexing (same enumeration order).
-    A single-element list returns that basis unchanged.
+    A single-element list returns that basis unchanged.  The same factor
+    objects return the same product while it is cached; the oldest of
+    ``_PRODUCTS_MAX`` cached products is dropped first.
     """
     parts = list(parts)
     if not parts:
         raise ValueError("product of an empty list of bases is undefined")
     if len(parts) == 1:
         return parts[0]
-    labels = tuple(itertools.product(*(p.labels for p in parts)))
-    return Basis(labels, factors=parts)
+    key = tuple(map(id, parts))
+    hit = _PRODUCTS.get(key)
+    if hit is not None:
+        return hit
+    built = Basis(tuple(itertools.product(*(p.labels for p in parts))), factors=parts)
+    with _PRODUCTS_LOCK:
+        if key not in _PRODUCTS and len(_PRODUCTS) >= _PRODUCTS_MAX:
+            del _PRODUCTS[next(iter(_PRODUCTS))]
+        return _PRODUCTS.setdefault(key, built)
 
 
 def label_text(label: Label) -> str:

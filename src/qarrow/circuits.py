@@ -14,6 +14,12 @@ discard the control bits); composing them is an identity channel on the
 transported qubit.  ``copy`` and ``weaken`` are the two classical-function
 lifts whose contrast shows which discards are physical: sharing is fine,
 silently forgetting is not.
+
+A circuit is wiring over shared parts: each catalog gate is lifted once
+(:data:`LIFTED`, which the circuit-file router uses too), and the
+measurement and partial-trace leaves of teleportation are built once.
+Channels are immutable, so sharing a leaf is safe; every call still wires a
+fresh top-level term, and nothing sets the ``name`` of a shared leaf.
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
-
-import numpy as np
 
 from .basis import bool_basis, product
 from .density import DensityMatrix, pure_density
@@ -34,6 +38,15 @@ from .vector import StateVector, bind, named_state, unit
 _B = bool_basis()
 _B2 = product([_B, _B])
 _B3 = product([_B, _B, _B])
+
+# the circuit-file gates by name, each lifted once, plain and (prefixed C) controlled
+GATES = {"H": gate("hadamard"), "X": gate("qnot"), "PHASE": gate("phase"), "Z": gate("z"),
+         "APHASE": adjoint(gate("phase"))}
+LIFTED = {**{n: lin2super(op) for n, op in GATES.items()},
+          **{"C" + n: lin2super(controlled(op)) for n, op in GATES.items()}}
+_MEASURE2 = measure(_B2)
+_DROP_B2 = trace_left(product([_B2, _B2]))  # keep the two classical bits
+_DROP_B2_B = trace_left(product([_B2, _B]))  # keep the corrected qubit
 
 
 def toffoli_lin() -> LinearOp:
@@ -49,10 +62,10 @@ def toffoli_lin() -> LinearOp:
     that nests every gate in the previous one's continuation, but it does not
     re-run the later gates for every intermediate label.
     """
-    h = gate("hadamard")
-    cnot = controlled(gate("qnot"))
-    cphase = controlled(gate("phase"))
-    caphase = controlled(adjoint(gate("phase")))
+    h = GATES["H"]
+    cnot = controlled(GATES["X"])
+    cphase = controlled(GATES["PHASE"])
+    caphase = controlled(GATES["APHASE"])
     steps = [
         _on_wires(h, (2,)),
         _on_wires(cphase, (1, 2)),
@@ -91,10 +104,7 @@ def toffoli_super() -> Superoperator:
     with ``first``, and shuffles for the next stage.
     """
     b, bb, b3 = _B, _B2, _B3
-    had = lin2super(gate("hadamard"))
-    cnot = lin2super(controlled(gate("qnot")))
-    cphase = lin2super(controlled(gate("phase")))
-    caphase = lin2super(controlled(adjoint(gate("phase"))))
+    had, cnot, cphase, caphase = (LIFTED[n] for n in ("H", "CX", "CPHASE", "CAPHASE"))
 
     s = arr(lambda t: (t[2], (t[0], t[1])), b3, product([b, bb]))
     s = s >> first(had, bb)
@@ -124,10 +134,10 @@ def alice() -> Superoperator:
     """
     b, bb = _B, _B2
     s = arr(lambda t: (t[1], t[0]), bb, bb, name="arr(swap)")
-    s = s >> lin2super(controlled(gate("qnot")))
-    s = s >> first(lin2super(gate("hadamard")), b)
-    s = s >> measure(bb)
-    s = s >> trace_left(product([bb, bb]))
+    s = s >> LIFTED["CX"]
+    s = s >> first(LIFTED["H"], b)
+    s = s >> _MEASURE2
+    s = s >> _DROP_B2
     s.name = "alice"
     return s
 
@@ -138,14 +148,12 @@ def bob() -> Superoperator:
     cnot controlled by m2, controlled-z by m1, then discard both bits.
     """
     b, bb, b3 = _B, _B2, _B3
-    cnot = lin2super(controlled(gate("qnot")))
-    cz = lin2super(controlled(gate("z")))
     s = arr(lambda t: ((t[2], t[0]), t[1]), b3, product([bb, b]))
-    s = s >> first(cnot, b)
+    s = s >> first(LIFTED["CX"], b)
     s = s >> arr(lambda t: ((t[1], t[0][1]), t[0][0]), product([bb, b]), product([bb, b]))
-    s = s >> first(cz, b)
+    s = s >> first(LIFTED["CZ"], b)
     s = s >> arr(lambda t: ((t[0][0], t[1]), t[0][1]), product([bb, b]), product([bb, b]))
-    s = s >> trace_left(product([bb, b]))
+    s = s >> _DROP_B2_B
     s.name = "bob"
     return s
 
@@ -165,7 +173,7 @@ def prepare_teleport_input(q: StateVector) -> DensityMatrix:
     """Density of (entangled pair on wires 1,2) tensored with q on wire 3."""
     if q.basis != bool_basis():
         raise ValueError("teleport transports a single qubit")
-    amps = np.kron(named_state("epr").amplitudes, q.amplitudes)
+    amps = (named_state("epr").amplitudes[:, None] * q.amplitudes).reshape(-1)
     return pure_density(StateVector(_B3, amps))
 
 

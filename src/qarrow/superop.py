@@ -293,12 +293,10 @@ def measure(basis: Basis) -> Superoperator:
 class EqualityReport:
     equal: bool
     max_diff: float
-    worst_input: tuple[Label, Label] | None
-    worst_output: tuple[Label, Label] | None
+    worst_input: tuple[Label, Label]
+    worst_output: tuple[Label, Label]
 
     def __str__(self) -> str:
-        if self.worst_input is None:
-            return f"equal={self.equal} max_diff={self.max_diff:.3e}"
         pin = ",".join(label_text(l) for l in self.worst_input)
         pout = ",".join(label_text(l) for l in self.worst_output)
         return (f"equal={self.equal} max_diff={self.max_diff:.3e} "

@@ -36,9 +36,10 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .basis import Basis, BasisMismatchError, bool_basis, product
+from .circuits import GATES, LIFTED
 from .density import DensityMatrix, pure_density
-from .linear import LinearOp, adjoint, controlled, gate
-from .superop import Superoperator, contract, lin2super, measure, trace_left
+from .linear import LinearOp
+from .superop import Superoperator, contract, measure, trace_left
 from .vector import StateVector, named_state
 
 
@@ -51,17 +52,14 @@ class CircuitError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-GATE_NAMES = ("H", "X", "PHASE", "Z", "APHASE")
+GATE_NAMES = tuple(GATES)
 STATE_NAMES = {"F": "qFalse", "T": "qTrue", "FT": "qFT", "FmT": "qFmT"}
 _STEP_FORMS = {"gate": "gate <G> <wire>", "cgate": "cgate <G> <ctrl> <tgt>",
                "measure": "measure <wire>", "discard": "discard <wire>"}
 
 
 def gate_op(name: str) -> LinearOp:
-    if name == "APHASE":
-        return adjoint(gate("phase"))
-    table = {"H": "hadamard", "X": "qnot", "PHASE": "phase", "Z": "z"}
-    return gate(table[name])
+    return GATES[name]
 
 
 @dataclass(frozen=True)
@@ -244,8 +242,7 @@ def route(ir: CircuitIR) -> RoutedPipeline:
             op = _STEP_OPS[step.directive]
             description = f"{step.directive} {step.wires[0]}"
         else:
-            base = gate_op(step.gate)
-            op = lin2super(controlled(base) if len(step.wires) == 2 else base)
+            op = LIFTED["C" * (len(step.wires) - 1) + step.gate]
             description = f"apply {step.gate} on {','.join(step.wires)}"
         if step.directive == "discard":
             live.remove(step.wires[0])
@@ -261,7 +258,8 @@ def initial_density(ir: CircuitIR) -> DensityMatrix:
     chunks += [((w,), named_state("qFalse").amplitudes) for w in ir.wires if w not in initialized]
 
     concat_order = [w for chunk in chunks for w in chunk[0]]
-    amps = reduce(np.kron, [chunk[1] for chunk in chunks])
+    # one axis per wire, in concat order: the tensor product of the chunks
+    amps = reduce(np.multiply.outer, [a.reshape((2,) * len(ws)) for ws, a in chunks])
     axes = [concat_order.index(w) for w in ir.wires]
-    amps = amps.reshape((2,) * len(axes)).transpose(axes).reshape(-1)
+    amps = amps.transpose(axes).reshape(-1)
     return pure_density(StateVector(_wire_basis(ir.wires), amps))

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
+from qarrow import basis as basis_module
 from qarrow.basis import Basis, bool_basis, label_text, parse_label, product
 
 
@@ -53,6 +57,16 @@ def test_unknown_label_is_an_error_naming_the_label():
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         Basis(("x", "x"))
+
+
+@pytest.mark.parametrize("labels, first_repeat", [
+    (("a", "b", "b", "a"), "b"),
+    (("a", "b", "a", "b"), "a"),
+    ((False, 1, 0, True), "0"),  # 0 == False repeats it; later duplicates are not named
+])
+def test_duplicate_error_names_the_first_label_that_repeats_an_earlier_one(labels, first_repeat):
+    with pytest.raises(ValueError, match=f"^duplicate basis label {first_repeat}$"):
+        Basis(labels)
 
 
 def test_empty_basis_rejected():
@@ -142,3 +156,67 @@ def test_membership_len_and_comparison_with_other_types():
     assert len(product([b, b, b])) == 8
     assert b != 3
     assert (b == 3) is False
+
+
+def test_product_interns_the_same_factor_objects():
+    b = bool_basis()
+    bb = product([b, b])
+    assert product([b, b]) is bb
+    assert product([bb, b]) is product([bb, b])
+    assert product((b, b, b)) is product([b, b, b])
+
+
+def test_a_plain_basis_with_product_labels_keeps_its_own_factors():
+    b = bool_basis()
+    bb = product([b, b])
+    plain = Basis(bb.labels)
+    assert plain == bb and plain.factors is None
+    from_plain, from_product = product([plain, b]), product([bb, b])
+    assert from_plain == from_product and from_plain is not from_product
+    assert from_plain.factors[0] is plain
+    assert from_product.factors[0] is bb
+
+
+def test_the_product_cache_keeps_its_bound_and_rebuilds_an_evicted_product():
+    parts = [Basis(("x", "y")), bool_basis()]
+    first = product(parts)
+    for i in range(basis_module._PRODUCTS_MAX + 10):
+        product([Basis((i,)), bool_basis()])
+        assert len(basis_module._PRODUCTS) <= basis_module._PRODUCTS_MAX
+    again = product(parts)
+    assert again is not first  # evicted, so built afresh
+    assert again == first and again.factors == first.factors
+    assert all(p is q for p, q in zip(again.factors, parts))
+
+
+def test_products_built_from_several_threads_are_all_correct():
+    # more products than the cache holds, built over and over, so threads
+    # evict concurrently; without the lock, about half of the runs fail
+    factors = [Basis((i, -1 - i)) for i in range(basis_module._PRODUCTS_MAX + 44)]
+    results: dict[int, list] = {t: [] for t in range(8)}
+    errors = []
+
+    def build(t):
+        try:
+            for _ in range(40):
+                results[t] = [product([f, bool_basis()]) for f in factors]
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(t,)) for t in results]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    assert len(basis_module._PRODUCTS) <= basis_module._PRODUCTS_MAX
+    for f, *built in zip(factors, *results.values()):
+        a, z = f.labels
+        assert all(p.labels == ((a, False), (a, True), (z, False), (z, True)) for p in built)
+        assert all(p.factors[0] is f for p in built)

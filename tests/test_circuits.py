@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import qarrow.circuits
-from qarrow.basis import bool_basis, product
+import qarrow.superop
+from qarrow.basis import Basis, bool_basis, product
 from qarrow.circuits import (
     CATALOG,
+    LIFTED,
     alice,
     bob,
     copy,
@@ -261,3 +263,52 @@ def test_catalog_entries_run_and_match_their_expectations():
     for entry in CATALOG.values():
         out = entry.build().apply(entry.default_input())
         assert max_abs_diff(out, entry.expected_output()) < 1e-9
+
+
+# The parts that circuits share: every lifted gate and the fixed leaves.
+SHARED = {**LIFTED, "measure": qarrow.circuits._MEASURE2,
+          "drop_b2": qarrow.circuits._DROP_B2, "drop_b2_b": qarrow.circuits._DROP_B2_B}
+BUILDERS = [entry.build for entry in CATALOG.values()] + [alice, bob, copy, weaken]
+
+
+def test_every_call_wires_a_fresh_circuit():
+    for build in BUILDERS:  # teleport among them
+        assert build() is not build()
+
+
+def test_building_every_circuit_twice_leaves_the_shared_leaves_unchanged():
+    before = {k: (s.name, s.matrix.tobytes()) for k, s in SHARED.items()}
+    for _ in range(2):
+        for build in BUILDERS:
+            built = build()
+            built.matrix
+            n = built.input_basis.size
+            built.apply(DensityMatrix(built.input_basis, np.eye(n) / n))
+    assert {k: (s.name, s.matrix.tobytes()) for k, s in SHARED.items()} == before
+
+
+def test_a_second_teleport_build_only_wires_shared_parts(monkeypatch):
+    teleport()
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Basis, "__init__", counting("Basis.__init__", Basis.__init__))
+    for module in (qarrow.circuits, qarrow.superop):
+        for name in ("lin2super", "measure", "trace_left"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    teleport()
+    assert calls == []
+
+
+def test_prepare_teleport_input_matches_the_kron_oracle():
+    gen = SeededGenerator(7)
+    for _ in range(10):
+        q = gen.qubit()
+        amps = np.kron(named_state("epr").amplitudes, q.amplitudes)
+        want = pure_density(StateVector(product([bool_basis()] * 3), amps))
+        assert np.array_equal(prepare_teleport_input(q).matrix, want.matrix)

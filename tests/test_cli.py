@@ -17,7 +17,7 @@ import qarrow
 from qarrow import cli
 from qarrow.basis import bool_basis, product
 from qarrow.cli import main
-from qarrow.density import from_json_dict, max_abs_diff, pure_density
+from qarrow.density import DiagnosticsReport, from_json_dict, max_abs_diff, pure_density
 from qarrow.laws import SeededGenerator, check_monad_laws
 from qarrow.textcircuit import initial_density, parse_circuit, route
 from qarrow.vector import unit
@@ -55,6 +55,15 @@ def test_run_text_output_has_labels():
 def test_run_validate_input_accepts_prepared_states():
     code, _, err = run_cli(["run", bundled_path("teleport.qc"), "--validate-input"])
     assert code == 0, err
+
+
+def test_run_validate_input_exits_3_on_an_unphysical_input(monkeypatch):
+    # every init state of the file format is physical, so the report is forced
+    monkeypatch.setattr(cli, "diagnostics", lambda rho, tol: DiagnosticsReport(True, False, True, 0.25))
+    code, out, err = run_cli(["run", bundled_path("teleport.qc"), "--validate-input"])
+    assert (code, out) == (3, "")
+    assert err == ("error: input density failed validation "
+                   "(hermitian=True psd=False unit_trace=True max_violation=2.500e-01)\n")
 
 
 def test_run_text_precision_is_configurable():
@@ -364,6 +373,14 @@ def test_a_memory_error_while_emitting_exits_3(tmp_path, monkeypatch, emitter, f
     code, out, err = run_cli(["run", _h_file(tmp_path), "--format", fmt])
     assert (code, out) == (3, "")
     assert err == "error: the density of a 1-wire circuit does not fit in memory\n"
+
+
+def test_demo_teleport_exits_3_when_the_output_deviates(monkeypatch):
+    monkeypatch.setattr(cli, "max_abs_diff", lambda got, want: 0.5)
+    code, out, err = run_cli(["demo", "teleport"])
+    assert code == 3
+    assert "max deviation from expected output: 5.000e-01" in out
+    assert err == "error: teleport deviated by 5.000e-01 (tol 1e-09)\n"
 
 
 def test_demo_teleport_json_is_one_document_and_the_deviation_goes_to_stderr():

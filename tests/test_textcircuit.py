@@ -1,3 +1,4 @@
+from functools import reduce
 from importlib import resources
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import qarrow
 from qarrow import superop
 from qarrow.basis import BasisMismatchError, bool_basis, product
-from qarrow.circuits import teleport, toffoli_super
+from qarrow.circuits import LIFTED, teleport, toffoli_super
 from qarrow.density import max_abs_diff, pure_density
 from qarrow.linear import controlled, gate
 from qarrow.superop import (
@@ -351,6 +352,31 @@ def test_routed_kernel_matches_the_dense_combinator_oracle(text):
     assert out.basis == expected.basis
     assert max_abs_diff(out, expected) <= 1e-12
     assert max_abs_diff(routed.pipeline.apply(rho), out) <= 1e-12
+
+
+def _kron_initial_density(ir):
+    """The np.kron form that initial_density once had, kept as its oracle."""
+    chunks = [(init.wires, named_state(STATE_NAMES.get(init.state, init.state)).amplitudes)
+              for init in ir.inits]
+    initialized = {w for chunk in chunks for w in chunk[0]}
+    chunks += [((w,), named_state("qFalse").amplitudes) for w in ir.wires if w not in initialized]
+    concat_order = [w for chunk in chunks for w in chunk[0]]
+    amps = reduce(np.kron, [chunk[1] for chunk in chunks])
+    axes = [concat_order.index(w) for w in ir.wires]
+    amps = amps.reshape((2,) * len(axes)).transpose(axes).reshape(-1)
+    return pure_density(StateVector(product([B] * len(ir.wires)), amps))
+
+
+@given(circuit_texts())
+def test_initial_density_matches_the_kron_oracle(text):
+    ir = parse_circuit(text)
+    assert np.array_equal(initial_density(ir).matrix, _kron_initial_density(ir).matrix)
+
+
+def test_gate_stages_are_the_shared_lifted_gates():
+    ir = parse_circuit("wires a b\ngate H a\ncgate APHASE b a\ngate H a\n")
+    ops = [stage.op for stage in route(ir).stages]
+    assert [id(op) for op in ops] == [id(LIFTED[n]) for n in ("H", "CAPHASE", "H")]
 
 
 _DIRECTIVES = st.sampled_from(["wires", "init", "gate", "cgate", "measure", "discard"])
