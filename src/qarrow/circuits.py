@@ -19,7 +19,7 @@ A circuit is wiring over shared parts: each catalog gate is lifted once
 (:data:`LIFTED`, which the circuit-file router uses too), and the
 measurement and partial-trace leaves of teleportation are built once.
 Channels are immutable, so sharing a leaf is safe; every call still wires a
-fresh top-level term, and nothing sets the ``name`` of a shared leaf.
+fresh top-level term, named by its last ``compose``; names are read-only.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable
 from .basis import bool_basis, product
 from .density import DensityMatrix, pure_density
 from .linear import LinearOp, adjoint, controlled, from_rows, gate
-from .superop import Superoperator, arr, first, lin2super, measure, trace_left
+from .superop import Superoperator, arr, compose, first, lin2super, measure, trace_left
 from .vector import StateVector, bind, named_state, unit
 
 
@@ -120,9 +120,7 @@ def toffoli_super() -> Superoperator:
     s = s >> first(cphase, b)
     s = s >> arr(lambda t: (t[0][1], (t[0][0], t[1])), product([bb, b]), product([b, bb]))
     s = s >> first(had, bb)
-    s = s >> arr(lambda t: (t[1][0], t[1][1], t[0]), product([b, bb]), b3)
-    s.name = "toffoli"
-    return s
+    return compose(s, arr(lambda t: (t[1][0], t[1][1], t[0]), product([b, bb]), b3), "toffoli")
 
 
 def alice() -> Superoperator:
@@ -137,9 +135,7 @@ def alice() -> Superoperator:
     s = s >> LIFTED["CX"]
     s = s >> first(LIFTED["H"], b)
     s = s >> _MEASURE2
-    s = s >> _DROP_B2
-    s.name = "alice"
-    return s
+    return compose(s, _DROP_B2, "alice")
 
 
 def bob() -> Superoperator:
@@ -153,9 +149,7 @@ def bob() -> Superoperator:
     s = s >> arr(lambda t: ((t[1], t[0][1]), t[0][0]), product([bb, b]), product([bb, b]))
     s = s >> first(LIFTED["CZ"], b)
     s = s >> arr(lambda t: ((t[0][0], t[1]), t[0][1]), product([bb, b]), product([bb, b]))
-    s = s >> _DROP_B2_B
-    s.name = "bob"
-    return s
+    return compose(s, _DROP_B2_B, "bob")
 
 
 def teleport() -> Superoperator:
@@ -164,9 +158,7 @@ def teleport() -> Superoperator:
     s = arr(lambda t: ((t[0], t[2]), t[1]), b3, product([bb, b]))
     s = s >> first(alice(), b)
     s = s >> arr(lambda t: (t[1], t[0][0], t[0][1]), product([bb, b]), b3)
-    s = s >> bob()
-    s.name = "teleport"
-    return s
+    return compose(s, bob(), "teleport")
 
 
 def prepare_teleport_input(q: StateVector) -> DensityMatrix:
@@ -174,7 +166,7 @@ def prepare_teleport_input(q: StateVector) -> DensityMatrix:
     if q.basis != bool_basis():
         raise ValueError("teleport transports a single qubit")
     amps = (named_state("epr").amplitudes[:, None] * q.amplitudes).reshape(-1)
-    return pure_density(StateVector(_B3, amps))
+    return pure_density(StateVector._owning(_B3, amps))
 
 
 def copy() -> Superoperator:

@@ -66,11 +66,11 @@ def pure_density(v: StateVector) -> DensityMatrix:
     Global phase drops out, so vectors differing by a phase embed to the
     same density matrix.
     """
-    return DensityMatrix(v.basis, np.outer(v.amplitudes, v.amplitudes.conj()))
+    return DensityMatrix._owning(v.basis, np.outer(v.amplitudes, v.amplitudes.conj()))
 
 
 def zero_density(basis: Basis) -> DensityMatrix:
-    return DensityMatrix(basis, np.zeros((basis.size, basis.size), dtype=complex))
+    return DensityMatrix._owning(basis, np.zeros((basis.size, basis.size), dtype=complex))
 
 
 def trace(d: DensityMatrix) -> complex:

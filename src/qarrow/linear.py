@@ -21,13 +21,18 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 class LinearOp:
     """Linear map stored densely, one StateVector row per input label."""
 
-    __slots__ = ("input_basis", "output_basis", "_matrix", "name")
+    __slots__ = ("input_basis", "output_basis", "_matrix", "_name")
 
     def __init__(self, input_basis: Basis, output_basis: Basis, matrix, name: str | None = None):
         self.input_basis = input_basis
         self.output_basis = output_basis
         self._matrix = frozen_array(matrix, (input_basis.size, output_basis.size))
-        self.name = name
+        self._name = name
+
+    @property
+    def name(self) -> str | None:
+        """Read-only: gates are shared (see :func:`gate`), so renaming one would rename all."""
+        return self._name
 
     @property
     def matrix(self) -> np.ndarray:
@@ -35,7 +40,7 @@ class LinearOp:
         return self._matrix
 
     def row(self, label: Label) -> StateVector:
-        return StateVector(self.output_basis, self._matrix[self.input_basis.index_of(label)])
+        return StateVector._owning(self.output_basis, self._matrix[self.input_basis.index_of(label)])
 
     def apply(self, v: StateVector) -> StateVector:
         return bind(v, self)

@@ -41,14 +41,19 @@ class Superoperator:
     the other terms.
     """
 
-    __slots__ = ("input_basis", "output_basis", "name", "_term", "_matrix")
+    __slots__ = ("input_basis", "output_basis", "_name", "_term", "_matrix")
 
     def __init__(self, input_basis: Basis, output_basis: Basis, matrix, name: str | None = None):
         self.input_basis = input_basis
         self.output_basis = output_basis
         self._matrix = frozen_array(matrix, (input_basis.size ** 2, output_basis.size ** 2))
         self._term = ("leaf",)
-        self.name = name
+        self._name = name
+
+    @property
+    def name(self) -> str | None:
+        """Read-only: leaves are shared between circuits, so renaming one would rename all."""
+        return self._name
 
     @property
     def matrix(self) -> np.ndarray:
@@ -84,7 +89,7 @@ def _node(input_basis: Basis, output_basis: Basis, term: tuple, name: str | None
           leaf: np.ndarray | None = None) -> Superoperator:
     """A channel holding ``term``; a ``leaf`` matrix, just made here, is frozen, not copied."""
     s = Superoperator.__new__(Superoperator)
-    s.input_basis, s.output_basis, s._term, s.name = input_basis, output_basis, term, name
+    s.input_basis, s.output_basis, s._term, s._name = input_basis, output_basis, term, name
     s._matrix = None if leaf is None else frozen_array(
         leaf, (input_basis.size ** 2, output_basis.size ** 2), copy=False)
     return s
@@ -149,13 +154,21 @@ def _relabel(t: np.ndarray, axis: int, target: np.ndarray, inverse, n_out: int) 
 
 def _fold(s: Superoperator) -> np.ndarray:
     """The dense matrix of ``s``: a chain's first channel is built (or its
-    matrix reused), and every later term runs on that matrix's blocks."""
+    matrix reused), and every later term runs on that matrix's blocks.  A
+    leading ``arr f`` only picks rows, since row (a1, a2) of ``arr f >> g``
+    is row (f a1, f a2) of ``g``'s: the next channel ``g`` is built instead."""
     rights = []
     while s._matrix is None and s._term[0] == "compose":  # a left-nested chain, without recursion
         s, right = s._term[1:]
         rights.append(right)
     if s._matrix is not None:
         m = s._matrix
+    elif s._term[0] == "arr" and rights:
+        target, n_mid = s._term[1], s.output_basis.size
+        while rights[-1]._matrix is None and rights[-1]._term[0] == "compose":  # g >> h: g is next
+            rights += rights.pop()._term[:0:-1]
+        s = rights.pop()
+        m = _fold(s)[(target[:, None] * n_mid + target).reshape(-1)]
     elif s._term[0] == "arr":
         target = s._term[1]
         n_in, n_out = s.input_basis.size, s.output_basis.size
@@ -182,13 +195,13 @@ def _fold(s: Superoperator) -> np.ndarray:
     return t.reshape(len(m), -1)
 
 
-def compose(f: Superoperator, g: Superoperator) -> Superoperator:
-    """Diagrammatic composition: ``f`` acts first, then ``g``."""
+def compose(f: Superoperator, g: Superoperator, name: str | None = None) -> Superoperator:
+    """Diagrammatic composition: ``f`` acts first, then ``g``; ``name`` names the result."""
     if f.output_basis != g.input_basis:
         raise BasisMismatchError(
             f"cannot compose: {f.output_basis!r} feeds into {g.input_basis!r}"
         )
-    return _node(f.input_basis, g.output_basis, ("compose", f, g))
+    return _node(f.input_basis, g.output_basis, ("compose", f, g), name)
 
 
 def lin2super(f: LinearOp, name: str | None = None) -> Superoperator:
@@ -306,7 +319,7 @@ class EqualityReport:
 def max_difference(s: Superoperator, t: Superoperator) -> float:
     if s.input_basis != t.input_basis or s.output_basis != t.output_basis:
         raise BasisMismatchError("cannot compare channels with differing bases")
-    return float(np.max(np.abs(s.matrix - t.matrix)))
+    return float(abs(s.matrix - t.matrix).max())
 
 
 def extensional_equal(s: Superoperator, t: Superoperator, tol: float) -> EqualityReport:

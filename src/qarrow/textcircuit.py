@@ -262,4 +262,4 @@ def initial_density(ir: CircuitIR) -> DensityMatrix:
     amps = reduce(np.multiply.outer, [a.reshape((2,) * len(ws)) for ws, a in chunks])
     axes = [concat_order.index(w) for w in ir.wires]
     amps = amps.transpose(axes).reshape(-1)
-    return pure_density(StateVector(_wire_basis(ir.wires), amps))
+    return pure_density(StateVector._owning(_wire_basis(ir.wires), amps))

@@ -25,6 +25,13 @@ class StateVector:
         self.basis = basis
         self._amps = frozen_array(amplitudes, (basis.size,))
 
+    @classmethod
+    def _owning(cls, basis: Basis, amplitudes: np.ndarray) -> "StateVector":
+        """A vector around ``amplitudes``, an array the library has just made: frozen, not copied."""
+        v = cls.__new__(cls)
+        v.basis, v._amps = basis, frozen_array(amplitudes, (basis.size,), copy=False)
+        return v
+
     @property
     def amplitudes(self) -> np.ndarray:
         """Read-only amplitude array in basis enumeration order."""
@@ -34,7 +41,7 @@ class StateVector:
         return complex(self._amps[self.basis.index_of(label)])
 
     def scale(self, k: complex) -> "StateVector":
-        return StateVector(self.basis, k * self._amps)
+        return StateVector._owning(self.basis, k * self._amps)
 
     def bind(self, f) -> "StateVector":
         return bind(self, f)
@@ -47,11 +54,11 @@ class StateVector:
 
     def __add__(self, other: "StateVector") -> "StateVector":
         require_same_basis(self, other)
-        return StateVector(self.basis, self._amps + other._amps)
+        return StateVector._owning(self.basis, self._amps + other._amps)
 
     def __sub__(self, other: "StateVector") -> "StateVector":
         require_same_basis(self, other)
-        return StateVector(self.basis, self._amps - other._amps)
+        return StateVector._owning(self.basis, self._amps - other._amps)
 
     def __mul__(self, k) -> "StateVector":
         return self.scale(k)
@@ -85,7 +92,7 @@ def tabulate(fn, basis: Basis, what: str) -> tuple[Basis, np.ndarray]:
     out = rows[0].basis
     if any(row.basis != out for row in rows):
         raise BasisMismatchError(f"{what} returned vectors over differing bases")
-    return out, np.stack([row._amps for row in rows])
+    return out, np.concatenate([row._amps for row in rows]).reshape(len(rows), out.size)
 
 
 def require_same_basis(x, y) -> None:
@@ -104,11 +111,11 @@ def unit(basis: Basis, label: Label) -> StateVector:
     """The computation terminating at ``label``: amplitude 1 there, 0 elsewhere."""
     amps = np.zeros(basis.size, dtype=complex)
     amps[basis.index_of(label)] = 1.0
-    return StateVector(basis, amps)
+    return StateVector._owning(basis, amps)
 
 
 def zero(basis: Basis) -> StateVector:
-    return StateVector(basis, np.zeros(basis.size, dtype=complex))
+    return StateVector._owning(basis, np.zeros(basis.size, dtype=complex))
 
 
 def scale(k: complex, v: StateVector) -> StateVector:
@@ -133,12 +140,13 @@ def bind(v: StateVector, f) -> StateVector:
         )
     else:
         out_basis, matrix = f.output_basis, f.matrix
-    return StateVector(out_basis, v.amplitudes @ matrix)
+    return StateVector._owning(out_basis, v.amplitudes @ matrix)
 
 
 def tensor(v: StateVector, w: StateVector) -> StateVector:
     """Tensor product over the product basis; (a,b) entry is v(a) * w(b)."""
-    return StateVector(product([v.basis, w.basis]), (v.amplitudes[:, None] * w.amplitudes).reshape(-1))
+    return StateVector._owning(product([v.basis, w.basis]),
+                               (v.amplitudes[:, None] * w.amplitudes).reshape(-1))
 
 
 def dot(v: StateVector, w: StateVector) -> complex:

@@ -287,6 +287,13 @@ def test_building_every_circuit_twice_leaves_the_shared_leaves_unchanged():
     assert {k: (s.name, s.matrix.tobytes()) for k, s in SHARED.items()} == before
 
 
+def test_each_circuit_names_its_own_top_level_term():
+    assert [build().name for build in (toffoli_super, alice, bob, teleport)] == [
+        "toffoli", "alice", "bob", "teleport"]
+    with pytest.raises(AttributeError):
+        teleport().name = "renamed"
+
+
 def test_a_second_teleport_build_only_wires_shared_parts(monkeypatch):
     teleport()
     calls = []

@@ -1,6 +1,11 @@
+import dataclasses
+import functools
+import json
+from pathlib import Path
+
 import pytest
 
-from qarrow import vector
+from qarrow import basis as basis_module, vector
 
 from qarrow.basis import Basis, bool_basis, product
 from qarrow.laws import (
@@ -61,14 +66,43 @@ LAW_SHAPE = [
 FIXTURE_FAILURES = {"monad/left-identity", "monad/right-identity", "arrow/first-arr"}
 
 
+@functools.cache
+def reports_at(seed):
+    """The reports of ``run_all`` and of both mutation fixtures at ``seed``."""
+    return {"run_all": run_all(seed),
+            "skipping_bind": check_monad_laws(SeededGenerator(seed), bind_fn=skipping_bind),
+            "first_without_dual": check_arrow_laws(SeededGenerator(seed), first_fn=first_without_dual)}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 42])
 def test_law_reports_keep_their_shape(seed):
-    fixtures = (check_monad_laws(SeededGenerator(seed), bind_fn=skipping_bind)
-                + check_arrow_laws(SeededGenerator(seed), first_fn=first_without_dual))
-    for reports, failing in [(run_all(seed), set()), (fixtures, FIXTURE_FAILURES)]:
+    runs = reports_at(seed)
+    fixtures = runs["skipping_bind"] + runs["first_without_dual"]
+    for reports, failing in [(runs["run_all"], set()), (fixtures, FIXTURE_FAILURES)]:
         assert [(r.name, r.cases, r.passed) for r in reports] == [
             (name, cases, name not in failing) for name, cases in LAW_SHAPE]
         assert all(r.max_residual <= 1e-12 for r in reports if r.passed)
+
+
+# Every field of those reports, written by the code before vectors adopted the
+# arrays the library makes and arr-led chains gathered rows.  The residuals were
+# the same with 1 and 2 BLAS threads, so every field, floats included, must
+# match exactly.
+GOLDEN = json.loads((Path(__file__).parent / "golden_law_reports.json").read_text())
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN, key=int))
+def test_law_reports_match_the_golden_file(seed):
+    runs = reports_at(int(seed))
+    assert {run: [dataclasses.asdict(r) for r in reports] for run, reports in runs.items()} == GOLDEN[seed]
+
+
+def test_run_all_interns_no_new_products():
+    run_all(seed=0)
+    interned = list(basis_module._PRODUCTS)
+    for seed in (1, 2, 3):
+        run_all(seed=seed)
+    assert list(basis_module._PRODUCTS) == interned
 
 
 def test_monad_cases_cover_each_basis():

@@ -552,3 +552,56 @@ def test_a_long_chain_applies_and_folds_without_recursion():
     d = pure_density(named_state("qFT"))
     assert max_abs_diff(s.apply(d), d) < 1e-9
     assert max_difference(s, identity_arr(B)) < 1e-9
+
+
+# A chain led by arr f folds by gathering rows of the next channel's matrix:
+# row (a1, a2) of arr f >> g is row (f a1, f a2) of g's.  The rows are picked,
+# not summed, so the gather must equal both other ways of reading the channel.
+@st.composite
+def arr_led_chains(draw):
+    """arr(fn, A, M) >> g, fn injective or not, M smaller or larger than A."""
+    kind = draw(st.sampled_from(["lift", "first", "measure", "trace_left", "arr"]))
+    pick = lambda: draw(st.sampled_from(FLAT + [RGB]))
+    if kind == "lift":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        src, dst = pick(), pick()
+        g = lin2super(LinearOp(src, dst, rng.uniform(-1, 1, (src.size, dst.size))
+                               + 1j * rng.uniform(-1, 1, (src.size, dst.size))))
+    elif kind == "first":
+        g = first(draw(st.sampled_from([lin2super(gate("hadamard")), measure(B), trace_left(BB)])),
+                  draw(st.sampled_from(FLAT[:2])))
+    elif kind == "measure":
+        g = measure(pick())
+    elif kind == "trace_left":
+        g = trace_left(product([pick(), pick()]))
+    else:
+        g = draw(random_arr(pick(), pick()))
+    a, m = pick(), g.input_basis
+    if a.size <= m.size and draw(st.booleans()):  # injective
+        picks = draw(st.permutations(range(m.size)))[:a.size]
+    else:  # two labels of a share an image
+        picks = draw(st.lists(st.integers(0, m.size - 1), min_size=a.size - 1, max_size=a.size - 1))
+        picks.insert(draw(st.integers(0, len(picks))), picks[draw(st.integers(0, len(picks) - 1))])
+    table = {label: m.element_at(k) for label, k in zip(a, picks)}
+    return arr(table.__getitem__, a, m), g
+
+
+@given(arr_led_chains())
+def test_an_arr_led_chain_folds_to_its_blocks_and_to_the_unfused_fold(chain):
+    f, g = chain
+    s = f >> g
+    n = s.input_basis
+    blocks = np.stack([s.block(a1, a2).matrix.reshape(-1) for a1 in n for a2 in n])
+    assert np.array_equal(s.matrix, blocks)
+    assert np.array_equal(s.matrix, (Superoperator(f.input_basis, f.output_basis, f.matrix) >> g).matrix)
+
+
+def test_an_arr_led_chain_folds_the_next_channel_and_never_the_arr(monkeypatch):
+    folded = []
+    fold = superop._fold
+    monkeypatch.setattr(superop, "_fold", lambda s: folded.append(s) or fold(s))
+    h = lin2super(gate("hadamard"))
+    f = arr(lambda x: not x, B, B)
+    s = f >> (h >> h)
+    assert dev(s.matrix, lin2super(gate("qnot")).matrix) < 1e-15
+    assert folded == [s, h]

@@ -379,6 +379,17 @@ def test_gate_stages_are_the_shared_lifted_gates():
     assert [id(op) for op in ops] == [id(LIFTED[n]) for n in ("H", "CAPHASE", "H")]
 
 
+def test_shared_gates_cannot_be_renamed():
+    ir = parse_circuit("wires a b\ngate H a\ncgate X a b\nmeasure b\n")
+    names = [stage.op.name for stage in route(ir).stages]
+    with pytest.raises(AttributeError):
+        LIFTED["CX"].name = "x"
+    with pytest.raises(AttributeError):
+        gate("hadamard").name = "x"
+    assert [stage.op.name for stage in route(ir).stages] == names
+    assert names[:2] == ["lift(hadamard)", "lift(controlled(qnot))"]
+
+
 _DIRECTIVES = st.sampled_from(["wires", "init", "gate", "cgate", "measure", "discard"])
 _WORDS = st.sampled_from(["a", "b", "c", "w0", "epr", "#"] + sorted(STATE_NAMES) + list(GATE_NAMES))
 _TOKENS = st.one_of(

@@ -211,3 +211,22 @@ def test_vector_methods_and_operators():
 def test_frozen_array_rejects_a_wrong_shape():
     with pytest.raises(ValueError, match=r"expected shape \(2,\), got \(3,\)"):
         frozen_array([1, 2, 3], (2,))
+
+
+def test_library_results_are_read_only_and_public_vectors_copy():
+    v = StateVector(BB, [1, 2, 3, 4])
+    h = gate("hadamard")
+    results = [bind(unit(B, True), h), bind(v, lambda ab: unit(B, ab[0])), unit(B, False), zero(B),
+               h.row(True), v.scale(2), -v, tensor(v, v), v + v, v - v]
+    for w in results:
+        assert not w.amplitudes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w.amplitudes[0] = 5
+    # a row is a view of the gate's frozen matrix, which stays frozen
+    assert np.shares_memory(h.row(True).amplitudes, h.matrix) and not h.matrix.flags.writeable
+    a = np.array([1, 2, 3, 4], dtype=complex)
+    w = StateVector(BB, a)
+    a[0] = 9
+    assert w.amplitude((False, False)) == 1 and a.flags.writeable
+    with pytest.raises(ValueError, match=r"expected shape \(4,\), got \(3,\)"):
+        StateVector._owning(BB, np.zeros(3, dtype=complex))
