@@ -45,14 +45,14 @@ class DensityMatrix:
 
     def __add__(self, other: "DensityMatrix") -> "DensityMatrix":
         require_same_basis(self, other)
-        return DensityMatrix(self.basis, self._matrix + other._matrix)
+        return DensityMatrix._owning(self.basis, self._matrix + other._matrix)
 
     def __sub__(self, other: "DensityMatrix") -> "DensityMatrix":
         require_same_basis(self, other)
-        return DensityMatrix(self.basis, self._matrix - other._matrix)
+        return DensityMatrix._owning(self.basis, self._matrix - other._matrix)
 
     def __mul__(self, k) -> "DensityMatrix":
-        return DensityMatrix(self.basis, k * self._matrix)
+        return DensityMatrix._owning(self.basis, k * self._matrix)
 
     __rmul__ = __mul__
 
@@ -158,7 +158,7 @@ def _require_json_labels(basis: Basis) -> None:
 def from_json_dict(payload: dict) -> DensityMatrix:
     basis = Basis(parse_label(text) for text in payload["basis"])
     m = np.array(payload["re"], dtype=float) + 1j * np.array(payload["im"], dtype=float)
-    return DensityMatrix(basis, m)
+    return DensityMatrix._owning(basis, m)
 
 
 def format_table(d: DensityMatrix, precision: int = 4) -> str:

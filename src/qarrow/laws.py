@@ -27,8 +27,9 @@ import numpy as np
 
 from . import vector
 from .basis import Basis, Label, bool_basis, label_text, product
-from .linear import LinearOp, controlled, gate
-from .superop import Superoperator, arr, first, identity_arr, lin2super, max_difference, measure, trace_left
+from .circuits import LIFTED
+from .linear import LinearOp
+from .superop import Superoperator, arr, first, identity_arr, max_difference, measure, trace_left
 from .vector import StateVector, require_tolerance
 
 _N_RANDOM = 20  # random classical functions drawn for arr-composes and first-arr
@@ -71,8 +72,8 @@ class SeededGenerator:
 
     def linear(self, input_basis: Basis, output_basis: Basis) -> LinearOp:
         amps = self.amplitudes(input_basis.size * output_basis.size)
-        return LinearOp(input_basis, output_basis,
-                        amps.reshape(input_basis.size, output_basis.size), name="random")
+        return LinearOp._owning(input_basis, output_basis,
+                                amps.reshape(input_basis.size, output_basis.size), name="random")
 
     def qubit(self) -> StateVector:
         v = self.vector(bool_basis())
@@ -82,18 +83,20 @@ class SeededGenerator:
         """Random total function between bases, with a printable table."""
         picks = [output_basis.element_at(int(i))
                  for i in self._rng.integers(output_basis.size, size=input_basis.size)]
-        table = dict(zip(input_basis.labels, picks))
-        desc = "{" + ", ".join(f"{label_text(k)}->{label_text(v)}" for k, v in table.items()) + "}"
-        return (lambda x: table[x]), desc
+        return _tabled(dict(zip(input_basis.labels, picks)))
 
     def permutation(self, basis: Basis) -> tuple[Callable[[Label], Label], str]:
         order = self._rng.permutation(basis.size)
-        table = {basis.element_at(i): basis.element_at(int(j)) for i, j in enumerate(order)}
-        desc = "{" + ", ".join(f"{label_text(k)}->{label_text(v)}" for k, v in table.items()) + "}"
-        return (lambda x: table[x]), desc
+        return _tabled({basis.element_at(i): basis.element_at(int(j)) for i, j in enumerate(order)})
 
     def pick(self, items: Sequence):
         return items[int(self._rng.integers(len(items)))]
+
+
+def _tabled(table: dict) -> tuple[Callable[[Label], Label], str]:
+    """The function that looks labels up in ``table``, and the table as text."""
+    desc = "{" + ", ".join(f"{label_text(k)}->{label_text(v)}" for k, v in table.items()) + "}"
+    return (lambda x: table[x]), desc
 
 
 def default_bases() -> list[Basis]:
@@ -105,9 +108,9 @@ def default_pool() -> list[Superoperator]:
     b = bool_basis()
     bb = product([b, b])
     return [
-        lin2super(gate("hadamard")),
-        lin2super(gate("qnot")),
-        lin2super(controlled(gate("qnot"))),
+        LIFTED["H"],
+        LIFTED["X"],
+        LIFTED["CX"],
         measure(b),
         trace_left(bb),
         arr(lambda t: (t[1], t[0]), bb, bb, name="arr(swap)"),
@@ -305,10 +308,8 @@ def skipping_bind(v: StateVector, f) -> StateVector:
 def first_without_dual(s: Superoperator, carried: Basis) -> Superoperator:
     """Broken first that reuses the primary carried index on the dual side."""
     lifted = first(s, carried)
-    n_a = s.input_basis.size
-    n_b = s.output_basis.size
-    n_d = carried.size
-    full = lifted.matrix.reshape(n_a, n_d, n_a, n_d, n_b, n_d, n_b, n_d)
+    sizes = (s.input_basis.size, carried.size) * 2 + (s.output_basis.size, carried.size) * 2
+    full = lifted.matrix.reshape(sizes)  # (a1, d1, a2, d2) -> (b1, e1, b2, e2)
     # read first's entries at d2 == d1, so both carried output indices track
     # d1, and repeat them for every d2: d2 is ignored
     tied = np.einsum("imjmknlp->imjknlp", full)

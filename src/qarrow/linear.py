@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import Basis, BasisMismatchError, Label, bool_basis, product
-from .vector import StateVector, bind, frozen_array, require_same_basis, tabulate
+from .vector import StateVector, bind, frozen_array, require_composable, require_same_basis, tabulate
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -28,6 +28,15 @@ class LinearOp:
         self.output_basis = output_basis
         self._matrix = frozen_array(matrix, (input_basis.size, output_basis.size))
         self._name = name
+
+    @classmethod
+    def _owning(cls, input_basis: Basis, output_basis: Basis, matrix: np.ndarray,
+                name: str | None = None) -> "LinearOp":
+        """An operator around ``matrix``, an array the library has just made: frozen, not copied."""
+        f = cls.__new__(cls)
+        f.input_basis, f.output_basis, f._name = input_basis, output_basis, name
+        f._matrix = frozen_array(matrix, (input_basis.size, output_basis.size), copy=False)
+        return f
 
     @property
     def name(self) -> str | None:
@@ -52,7 +61,7 @@ class LinearOp:
 
 def from_rows(fn: Callable[[Label], StateVector], input_basis: Basis, name: str | None = None) -> LinearOp:
     """Materialize a label-to-vector function; all rows must share one basis."""
-    return LinearOp(input_basis, *tabulate(fn, input_basis, "rows"), name=name)
+    return LinearOp._owning(input_basis, *tabulate(fn, input_basis, "rows"), name=name)
 
 
 def fun2lin(fn: Callable[[Label], Label], input_basis: Basis, output_basis: Basis,
@@ -61,11 +70,11 @@ def fun2lin(fn: Callable[[Label], Label], input_basis: Basis, output_basis: Basi
     m = np.zeros((input_basis.size, output_basis.size), dtype=complex)
     for i, label in enumerate(input_basis):
         m[i, output_basis.index_of(fn(label))] = 1.0
-    return LinearOp(input_basis, output_basis, m, name=name or "fun2lin")
+    return LinearOp._owning(input_basis, output_basis, m, name=name or "fun2lin")
 
 
 def identity(basis: Basis) -> LinearOp:
-    return LinearOp(basis, basis, np.eye(basis.size, dtype=complex), name="id")
+    return LinearOp._owning(basis, basis, np.eye(basis.size, dtype=complex), name="id")
 
 
 _BOOL = bool_basis()
@@ -96,31 +105,31 @@ def controlled(f: LinearOp) -> LinearOp:
     m[:n, :n] = np.eye(n)
     m[n:, n:] = f.matrix
     ab = product([bool_basis(), f.input_basis])
-    return LinearOp(ab, ab, m, name=f"controlled({f.name or 'op'})")
+    return LinearOp._owning(ab, ab, m, name=f"controlled({f.name or 'op'})")
 
 
 def adjoint(f: LinearOp) -> LinearOp:
     """Conjugate transpose; swaps input and output bases."""
-    return LinearOp(f.output_basis, f.input_basis, f.matrix.conj().T,
-                    name=f"adjoint({f.name})" if f.name else None)
+    return LinearOp._owning(f.output_basis, f.input_basis, f.matrix.conj().T,
+                            name=f"adjoint({f.name})" if f.name else None)
 
 
 def outer(v: StateVector, w: StateVector) -> LinearOp:
     """Outer product: entry (a1, a2) is v(a1) * conj(w(a2))."""
     require_same_basis(v, w)
-    return LinearOp(v.basis, v.basis, np.outer(v.amplitudes, w.amplitudes.conj()))
+    return LinearOp._owning(v.basis, v.basis, np.outer(v.amplitudes, w.amplitudes.conj()))
 
 
 def lin_plus(f: LinearOp, g: LinearOp) -> LinearOp:
     if f.input_basis != g.input_basis or f.output_basis != g.output_basis:
         raise BasisMismatchError("operator sum needs identical input and output bases")
-    return LinearOp(f.input_basis, f.output_basis, f.matrix + g.matrix)
+    return LinearOp._owning(f.input_basis, f.output_basis, f.matrix + g.matrix)
 
 
 def lin_tensor(f: LinearOp, g: LinearOp) -> LinearOp:
     """Tensor of operators over the product bases; row (a,c) = f(a) (x) g(c)."""
     m = f.matrix[:, None, :, None] * g.matrix[None, :, None, :]
-    return LinearOp(
+    return LinearOp._owning(
         product([f.input_basis, g.input_basis]),
         product([f.output_basis, g.output_basis]),
         m.reshape(m.shape[0] * m.shape[1], -1),
@@ -130,8 +139,5 @@ def lin_tensor(f: LinearOp, g: LinearOp) -> LinearOp:
 
 def compose(f: LinearOp, g: LinearOp) -> LinearOp:
     """Diagrammatic composition: ``f`` acts first, then ``g``; a matrix product."""
-    if f.output_basis != g.input_basis:
-        raise BasisMismatchError(
-            f"cannot compose: {f.output_basis!r} feeds into {g.input_basis!r}"
-        )
-    return LinearOp(f.input_basis, g.output_basis, f.matrix @ g.matrix)
+    require_composable(f, g)
+    return LinearOp._owning(f.input_basis, g.output_basis, f.matrix @ g.matrix)

@@ -14,11 +14,11 @@ so the laws and :func:`extensional_equal` compare it.  :func:`apply` runs
 the term on the density and never builds the channel's matrix.
 
 Folds are deterministic, so identical inputs give bit-identical matrices:
-``arr``, ``first``, ``trace_left`` and ``measure`` write their nonzeros into
-zeros with one index assignment, ``lin2super`` is one broadcast product and
-``second`` one transpose of ``first``'s axes.  ``>>`` is never a product of
-two channel matrices: the fold builds a chain's first channel and runs each
-later term on that matrix's blocks, as :func:`apply` runs it on a density.
+``arr``, ``first``, ``second``, ``trace_left`` and ``measure`` write their
+nonzeros into zeros with one index assignment, ``lin2super`` is one
+broadcast product, and ``>>`` is never a product of two channel matrices:
+the fold builds a chain's first channel and runs each later term on that
+matrix's blocks, as :func:`apply` runs it on a density.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .basis import Basis, BasisMismatchError, Label, label_text, product
 from .density import DensityMatrix
 from .linear import LinearOp
-from .vector import frozen_array, require_tolerance
+from .vector import frozen_array, require_composable, require_tolerance
 
 
 class Superoperator:
@@ -156,38 +156,37 @@ def _fold(s: Superoperator) -> np.ndarray:
     """The dense matrix of ``s``: a chain's first channel is built (or its
     matrix reused), and every later term runs on that matrix's blocks.  A
     leading ``arr f`` only picks rows, since row (a1, a2) of ``arr f >> g``
-    is row (f a1, f a2) of ``g``'s: the next channel ``g`` is built instead."""
+    is row (f a1, f a2) of ``g``'s: the next channel ``g`` is built instead,
+    and a lone ``arr f``, which is ``arr f >> arr id``, is ones at those columns."""
     rights = []
     while s._matrix is None and s._term[0] == "compose":  # a left-nested chain, without recursion
         s, right = s._term[1:]
         rights.append(right)
     if s._matrix is not None:
         m = s._matrix
-    elif s._term[0] == "arr" and rights:
-        target, n_mid = s._term[1], s.output_basis.size
-        while rights[-1]._matrix is None and rights[-1]._term[0] == "compose":  # g >> h: g is next
-            rights += rights.pop()._term[:0:-1]
-        s = rights.pop()
-        m = _fold(s)[(target[:, None] * n_mid + target).reshape(-1)]
     elif s._term[0] == "arr":
-        target = s._term[1]
-        n_in, n_out = s.input_basis.size, s.output_basis.size
-        i = np.arange(n_in)
-        m = np.zeros((n_in, n_in, n_out, n_out), dtype=complex)
-        m[i[:, None], i, target[:, None], target] = 1.0
-        m = m.reshape(n_in * n_in, n_out * n_out)
+        target, n_mid = s._term[1], s.output_basis.size
+        pairs = (target[:, None] * n_mid + target).reshape(-1)
+        if rights:
+            while rights[-1]._matrix is None and rights[-1]._term[0] == "compose":  # g >> h: g is next
+                rights += rights.pop()._term[:0:-1]
+            s = rights.pop()
+            m = _fold(s)[pairs]
+        else:
+            m = np.zeros((len(pairs), n_mid * n_mid), dtype=complex)
+            m[np.arange(len(pairs)), pairs] = 1.0
     else:
         # first: indexed as (a1,d1,a2,d2) -> (b1,e1,b2,e2), the matrix holds
-        # inner's block (a1,a2) -> (b1,b2) wherever d1 == e1 and d2 == e2
+        # inner's block (a1,a2) -> (b1,b2) wherever d1 == e1 and d2 == e2;
+        # second's (d1,a1,d2,a2) -> (e1,b1,e2,b2) is filled through a pair-swapped view
         _, inner, carried, left = s._term
         n_a, n_b, n_d = inner.input_basis.size, inner.output_basis.size, carried.size
         m = np.zeros(((n_a * n_d) ** 2, (n_b * n_d) ** 2), dtype=complex)
+        sizes = (n_a, n_d) * 2 + (n_b, n_d) * 2
+        axes = (0, 1, 2, 3, 4, 5, 6, 7) if left else (1, 0, 3, 2, 5, 4, 7, 6)
         d1, d2 = np.arange(n_d)[:, None], np.arange(n_d)
-        m.reshape(n_a, n_d, n_a, n_d, n_b, n_d, n_b, n_d)[:, d1, :, d2, :, d1, :, d2] = (
+        m.reshape([sizes[a] for a in axes]).transpose(axes)[:, d1, :, d2, :, d1, :, d2] = (
             _fold(inner).reshape(n_a, n_a, n_b, n_b))
-        if not left:  # second: the swaps relabel (a1,d1,a2,d2) as (d1,a1,d2,a2), likewise out
-            sizes = (n_a, n_d) * 2 + (n_b, n_d) * 2
-            m = m.reshape(sizes).transpose(1, 0, 3, 2, 5, 4, 7, 6).reshape(m.shape)
     n = s.output_basis.size
     t = m.reshape(len(m), n, n)
     for right in reversed(rights):
@@ -197,10 +196,7 @@ def _fold(s: Superoperator) -> np.ndarray:
 
 def compose(f: Superoperator, g: Superoperator, name: str | None = None) -> Superoperator:
     """Diagrammatic composition: ``f`` acts first, then ``g``; ``name`` names the result."""
-    if f.output_basis != g.input_basis:
-        raise BasisMismatchError(
-            f"cannot compose: {f.output_basis!r} feeds into {g.input_basis!r}"
-        )
+    require_composable(f, g)
     return _node(f.input_basis, g.output_basis, ("compose", f, g), name)
 
 
@@ -245,7 +241,7 @@ def second(s: Superoperator, carried: Basis) -> Superoperator:
 
     As in Hughes's arrows, ``arr swap >>> first s >>> arr swap``.  The swaps
     only relabel, so ``s`` runs on the right factor in place, and the dense
-    fold is one transpose of ``first``'s axes.
+    fold fills this layout directly.
     """
     return _node(product([carried, s.input_basis]), product([carried, s.output_basis]),
                  ("first", s, carried, False), f"second({s.name})" if s.name else "second")
@@ -294,12 +290,10 @@ def measure(basis: Basis) -> Superoperator:
     diagonal input pairs contribute, which is exactly decoherence.
     """
     n = basis.size
-    out_basis = product([basis, basis])
-    n_out = out_basis.size
     a = np.arange(n)
-    m = np.zeros((n * n, n_out * n_out), dtype=complex)
+    m = np.zeros((n * n, n ** 4), dtype=complex)
     m.reshape(n, n, n, n, n, n)[a, a, a, a, a, a] = 1.0
-    return _node(basis, out_basis, ("leaf",), f"measure({n})", m)
+    return _node(basis, product([basis, basis]), ("leaf",), f"measure({n})", m)
 
 
 @dataclass(frozen=True)
@@ -330,8 +324,7 @@ def extensional_equal(s: Superoperator, t: Superoperator, tol: float) -> Equalit
     diff = np.abs(s.matrix - t.matrix)
     max_diff = float(np.max(diff))
     row, col = np.unravel_index(int(np.argmax(diff)), diff.shape)
-    n_in = s.input_basis.size
-    n_out = s.output_basis.size
-    worst_in = (s.input_basis.element_at(row // n_in), s.input_basis.element_at(row % n_in))
-    worst_out = (s.output_basis.element_at(col // n_out), s.output_basis.element_at(col % n_out))
+    # row r of the matrix is the input pair divmod(r, |A|), and likewise for columns
+    worst_in = tuple(map(s.input_basis.element_at, divmod(row, s.input_basis.size)))
+    worst_out = tuple(map(s.output_basis.element_at, divmod(col, s.output_basis.size)))
     return EqualityReport(max_diff <= tol, max_diff, worst_in, worst_out)

@@ -38,7 +38,6 @@ import numpy as np
 from .basis import Basis, BasisMismatchError, bool_basis, product
 from .circuits import GATES, LIFTED
 from .density import DensityMatrix, pure_density
-from .linear import LinearOp
 from .superop import Superoperator, contract, measure, trace_left
 from .vector import StateVector, named_state
 
@@ -56,10 +55,6 @@ GATE_NAMES = tuple(GATES)
 STATE_NAMES = {"F": "qFalse", "T": "qTrue", "FT": "qFT", "FmT": "qFmT"}
 _STEP_FORMS = {"gate": "gate <G> <wire>", "cgate": "cgate <G> <ctrl> <tgt>",
                "measure": "measure <wire>", "discard": "discard <wire>"}
-
-
-def gate_op(name: str) -> LinearOp:
-    return GATES[name]
 
 
 @dataclass(frozen=True)
@@ -96,11 +91,15 @@ def parse_circuit(text: str) -> CircuitIR:
     initialized: set[str] = set()
     live: set[str] = set()
 
-    def known_live_wire(lineno: int, w: str) -> None:
-        if wires is None or w not in wires:
-            raise CircuitError(lineno, f"unknown wire {w!r}")
-        if w not in live:
-            raise CircuitError(lineno, f"wire {w!r} used after discard")
+    def check_operands(lineno: int, operands: list[str], repeated: str) -> None:
+        """Each operand must be a known, live wire, and none may repeat (``repeated`` says so)."""
+        for w in operands:
+            if wires is None or w not in wires:
+                raise CircuitError(lineno, f"unknown wire {w!r}")
+            if w not in live:
+                raise CircuitError(lineno, f"wire {w!r} used after discard")
+        if len(set(operands)) < len(operands):
+            raise CircuitError(lineno, repeated)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -134,13 +133,10 @@ def parse_circuit(text: str) -> CircuitIR:
                     lineno, "malformed init; expected 'init <wire> <state>' or 'init <wire> <wire> epr'"
                 )
             *operands, state = args
-            for w in operands:
-                known_live_wire(lineno, w)
+            check_operands(lineno, operands, "epr init needs two distinct wires")
             if len(operands) == 1 and state not in STATE_NAMES:
                 valid = ", ".join(STATE_NAMES)
                 raise CircuitError(lineno, f"unknown init state {state!r}; expected one of {valid}")
-            if len(set(operands)) < len(operands):
-                raise CircuitError(lineno, "epr init needs two distinct wires")
             for w in operands:
                 if w in initialized:
                     raise CircuitError(lineno, f"wire {w!r} already initialized")
@@ -153,10 +149,7 @@ def parse_circuit(text: str) -> CircuitIR:
             g, *operands = args if "<G>" in form else [None, *args]
             if g is not None and g not in GATE_NAMES:
                 raise CircuitError(lineno, f"unknown gate {g!r}; expected one of {', '.join(GATE_NAMES)}")
-            for w in operands:
-                known_live_wire(lineno, w)
-            if len(set(operands)) < len(operands):
-                raise CircuitError(lineno, "control and target must be distinct wires")
+            check_operands(lineno, operands, "control and target must be distinct wires")
             if head == "discard":
                 if len(live) == 1:
                     raise CircuitError(lineno, f"cannot discard {operands[0]!r}: it is the last live wire")
@@ -209,7 +202,7 @@ class RoutedPipeline:
         """Run the circuit on one density over the input wires."""
         if rho.basis != _wire_basis(self.input_wires):
             raise BasisMismatchError(f"routed circuit expects a density over wires {self.input_wires}")
-        return DensityMatrix(_wire_basis(self.output_wires), self._run(rho.matrix[None])[0])
+        return DensityMatrix._owning(_wire_basis(self.output_wires), self._run(rho.matrix[None])[0])
 
     @cached_property
     def pipeline(self) -> Superoperator:

@@ -101,6 +101,12 @@ def require_same_basis(x, y) -> None:
         raise BasisMismatchError(f"bases differ: {x.basis!r} vs {y.basis!r}")
 
 
+def require_composable(f, g) -> None:
+    """Raise unless operators or channels ``f`` and ``g`` compose: ``f``'s output feeds ``g``."""
+    if f.output_basis != g.input_basis:
+        raise BasisMismatchError(f"cannot compose: {f.output_basis!r} feeds into {g.input_basis!r}")
+
+
 def require_tolerance(tol: float) -> None:
     """The one tolerance rule: ``tol`` must be positive and finite."""
     if not 0 < tol < math.inf:

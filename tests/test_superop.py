@@ -2,11 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qarrow import superop
 from qarrow.basis import Basis, BasisMismatchError, bool_basis, product
-from qarrow.circuits import prepare_teleport_input, teleport, toffoli_super
+from qarrow.circuits import copy, prepare_teleport_input, teleport, toffoli_super
 from qarrow.density import DensityMatrix, max_abs_diff, pure_density, zero_density
 from qarrow.linear import LinearOp, compose as compose_lin, controlled, gate, identity, lin_tensor
 from qarrow.superop import (
@@ -30,6 +30,7 @@ from oracle_bases import FIVE, ORACLE_BASES, RGB
 
 B = bool_basis()
 BB = product([B, B])
+B3 = product([B, B, B])
 
 
 def dev(actual, expected):
@@ -420,12 +421,14 @@ def oracle_lift_cases():
         measure(RGB),
         trace_left(product([RGB, B])),
         arr(lambda x: RGB.element_at(FIVE.index_of(x) % 3), FIVE, RGB),
+        copy(),  # lone expanding arrs: their folds set ones in a zero matrix
+        arr(lambda x: (x, x, x), B, B3),
     ]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_first_and_second_match_the_einsum_oracle(n):
-    carried = Basis(tuple(f"c{i}" for i in range(n)))
+    carried = RGB if n == 3 else Basis(tuple(f"c{i}" for i in range(n)))
     for s in oracle_lift_cases():
         assert np.array_equal(first(s, carried).matrix,
                               oracle_lift(s, carried, "ijkl,mn,op->imjoknlp"))
@@ -586,13 +589,19 @@ def arr_led_chains(draw):
     return arr(table.__getitem__, a, m), g
 
 
+def blocks(s):
+    n = s.input_basis
+    return np.stack([s.block(a1, a2).matrix.reshape(-1) for a1 in n for a2 in n])
+
+
 @given(arr_led_chains())
+@example((copy(), trace_left(BB)))
+@example((arr(lambda x: (x, x, x), B, B3), measure(B3)))
 def test_an_arr_led_chain_folds_to_its_blocks_and_to_the_unfused_fold(chain):
     f, g = chain
     s = f >> g
-    n = s.input_basis
-    blocks = np.stack([s.block(a1, a2).matrix.reshape(-1) for a1 in n for a2 in n])
-    assert np.array_equal(s.matrix, blocks)
+    assert np.array_equal(s.matrix, blocks(s))
+    assert np.array_equal(f.matrix, blocks(f))  # a lone arr, expanding or not, folds on its own
     assert np.array_equal(s.matrix, (Superoperator(f.input_basis, f.output_basis, f.matrix) >> g).matrix)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import qarrow
 from qarrow import superop
 from qarrow.basis import BasisMismatchError, bool_basis, product
-from qarrow.circuits import LIFTED, teleport, toffoli_super
+from qarrow.circuits import GATES, LIFTED, teleport, toffoli_super
 from qarrow.density import max_abs_diff, pure_density
 from qarrow.linear import controlled, gate
 from qarrow.superop import (
@@ -28,7 +28,6 @@ from qarrow.textcircuit import (
     CircuitError,
     Init,
     Step,
-    gate_op,
     initial_density,
     parse_circuit,
     route,
@@ -302,7 +301,7 @@ def _oracle(ir):
     s = identity_arr(_wires_basis(len(live)))
     for step in ir.steps:
         if step.gate is not None:
-            base = gate_op(step.gate)
+            base = GATES[step.gate]
             op = lin2super(controlled(base) if len(step.wires) == 2 else base)
             s = s >> _oracle_step(op, step.wires, live)
         elif step.directive == "measure":

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qarrow import density, linear, superop, vector
 from qarrow.basis import BasisMismatchError, bool_basis, product
+from qarrow.circuits import prepare_teleport_input, teleport
 from qarrow.density import DensityMatrix
+from qarrow.laws import SeededGenerator, run_all
 from qarrow.linear import LinearOp, controlled, from_rows, gate
 from qarrow.superop import Superoperator
+from qarrow.textcircuit import initial_density, parse_circuit, route
 from qarrow.vector import StateVector, bind, dot, frozen_array, named_state, scale, tensor, unit, zero
 
 from oracle_bases import ORACLE_BASES
@@ -230,3 +234,27 @@ def test_library_results_are_read_only_and_public_vectors_copy():
     assert w.amplitude((False, False)) == 1 and a.flags.writeable
     with pytest.raises(ValueError, match=r"expected shape \(4,\), got \(3,\)"):
         StateVector._owning(BB, np.zeros(3, dtype=complex))
+
+
+def test_the_library_makes_no_defensive_copy(monkeypatch):
+    # the public constructors copy a caller's array; every value the library
+    # makes for itself adopts the array just made for it
+    qubits = [SeededGenerator(seed).qubit() for seed in range(8)]
+    ghz10 = "wires " + " ".join(f"w{i}" for i in range(10)) + "\ngate H w0\n" + "".join(
+        f"cgate X w{i} w{i + 1}\n" for i in range(9))
+    copies = []
+
+    def counting(data, shape, copy=True):
+        if copy:
+            copies.append(shape)
+        return frozen_array(data, shape, copy)
+
+    for module in (vector, linear, density, superop):
+        monkeypatch.setattr(module, "frozen_array", counting)
+    run_all(seed=0)
+    for q in qubits:
+        teleport().apply(prepare_teleport_input(q))
+    ir = parse_circuit(ghz10)
+    out = route(ir).apply(initial_density(ir))
+    assert copies == []
+    assert abs(out.entry((True,) * 10, (True,) * 10) - 0.5) < 1e-12
