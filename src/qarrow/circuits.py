@@ -4,9 +4,9 @@ The three-wire doubly-controlled-not is built twice: once as a single linear
 operator in continuation style (each basis element threaded through the
 seven-gate sequence, one ``bind`` per gate; monad associativity makes this
 the same operator as the do-block with every gate nested in the previous
-one's continuation), and once as an arrow pipeline of lifted gates glued by
-explicit permutations.  The two constructions must agree, which the test
-suite checks against an independently multiplied gate-matrix oracle.
+one's continuation), and once as the paper's arrow block, each lifted gate
+acting ``on`` its own wires.  The two constructions must agree, which the
+test suite checks against an independently multiplied gate-matrix oracle.
 
 Teleportation is split into the sender (entangle, measure, keep the two
 classical bits) and the receiver (classically controlled corrections, then
@@ -31,7 +31,7 @@ from typing import Callable
 from .basis import bool_basis, product
 from .density import DensityMatrix, pure_density
 from .linear import LinearOp, adjoint, controlled, from_rows, gate
-from .superop import Superoperator, arr, compose, first, lin2super, measure, trace_left
+from .superop import Superoperator, arr, compose, first, lin2super, measure, on, trace_left
 from .vector import StateVector, bind, named_state, unit
 
 
@@ -98,29 +98,16 @@ def _on_wires(op: LinearOp, wires: tuple[int, ...]) -> LinearOp:
 
 
 def toffoli_super() -> Superoperator:
-    """Arrow-style pipeline mirroring the circuit layout.
-
-    Each stage routes the active wires to the front, applies the lifted gate
-    with ``first``, and shuffles for the next stage.
-    """
-    b, bb, b3 = _B, _B2, _B3
+    """The paper's arrow block for the circuit: one ``outs <- gate -< ins`` line per gate,
+    acting ``on`` its wires of (top, middle, bottom) and carrying the other one."""
     had, cnot, cphase, caphase = (LIFTED[n] for n in ("H", "CX", "CPHASE", "CAPHASE"))
-
-    s = arr(lambda t: (t[2], (t[0], t[1])), b3, product([b, bb]))
-    s = s >> first(had, bb)
-    s = s >> arr(lambda t: ((t[1][1], t[0]), t[1][0]), product([b, bb]), product([bb, b]))
-    s = s >> first(cphase, b)
-    s = s >> arr(lambda t: ((t[1], t[0][0]), t[0][1]), product([bb, b]), product([bb, b]))
-    s = s >> first(cnot, b)
-    s = s >> arr(lambda t: ((t[0][1], t[1]), t[0][0]), product([bb, b]), product([bb, b]))
-    s = s >> first(caphase, b)
-    s = s >> arr(lambda t: ((t[1], t[0][0]), t[0][1]), product([bb, b]), product([bb, b]))
-    s = s >> first(cnot, b)
-    s = s >> arr(lambda t: ((t[0][0], t[1]), t[0][1]), product([bb, b]), product([bb, b]))
-    s = s >> first(cphase, b)
-    s = s >> arr(lambda t: (t[0][1], (t[0][0], t[1])), product([bb, b]), product([b, bb]))
-    s = s >> first(had, bb)
-    return compose(s, arr(lambda t: (t[1][0], t[1][1], t[0]), product([b, bb]), b3), "toffoli")
+    s = on(had, _B3, (2,))
+    s = s >> on(cphase, _B3, (1, 2))
+    s = s >> on(cnot, _B3, (0, 1))
+    s = s >> on(caphase, _B3, (1, 2))
+    s = s >> on(cnot, _B3, (0, 1))
+    s = s >> on(cphase, _B3, (0, 2))
+    return compose(s, on(had, _B3, (2,)), "toffoli")
 
 
 def alice() -> Superoperator:

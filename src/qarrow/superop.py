@@ -3,27 +3,30 @@
 A :class:`Superoperator` from basis A to basis B keeps how it was built, as
 an arrow term (Hughes, "Generalising monads to arrows"): a leaf matrix,
 ``arr`` (a classical function, kept as its index map on labels), ``compose``
-(also spelled ``>>``) or ``first`` (act on the left pair component, carrying
-the right one unchanged).  ``second`` is ``arr swap >>> first s >>> arr
-swap``; ``parallel``, ``measure`` and ``trace_left`` complete the set.
+(also spelled ``>>``) or ``on`` (act on some factors of a product basis and
+carry the rest: the paper's ``outs <- f -< ins``).  ``first`` and ``second``
+are ``on`` at position 0 and 1 of a pair; ``parallel``, ``measure`` and
+``trace_left`` complete the set.
 
 A term has two interpreters.  ``.matrix`` is the dense one, folded on first
 read: one output density block per ordered input pair (a1, a2), an
 |A|^2 x |B|^2 matrix.  By linearity it decides equality on all densities,
 so the laws and :func:`extensional_equal` compare it.  :func:`apply` runs
-the term on the density and never builds the channel's matrix.
+the term on the density, split into one row and one column axis per factor
+along a run of ``on`` nodes, and never builds the channel's matrix.
 
 Folds are deterministic, so identical inputs give bit-identical matrices:
-``arr``, ``first``, ``second``, ``trace_left`` and ``measure`` write their
-nonzeros into zeros with one index assignment, ``lin2super`` is one
-broadcast product, and ``>>`` is never a product of two channel matrices:
-the fold builds a chain's first channel and runs each later term on that
-matrix's blocks, as :func:`apply` runs it on a density.
+``arr``, ``on``, ``trace_left`` and ``measure`` write their nonzeros into
+zeros with one assignment, ``lin2super`` is one broadcast product, and
+``>>`` is never a product of two channel matrices: the fold builds a
+chain's first channel and runs each later term on that matrix's blocks, as
+:func:`apply` runs it on a density.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -96,7 +99,7 @@ def _node(input_basis: Basis, output_basis: Basis, term: tuple, name: str | None
 
 
 def apply(s: Superoperator, d: DensityMatrix) -> DensityMatrix:
-    """Run ``s``'s term on ``d``; a matrix is read only for a leaf."""
+    """Run ``s``'s term on ``d``; a matrix is read only for a leaf or an ``on`` several factors wide."""
     if d.basis != s.input_basis:
         raise BasisMismatchError(
             f"cannot apply channel over {s.input_basis!r} to density over {d.basis!r}"
@@ -108,7 +111,7 @@ def contract(t: np.ndarray, matrix: np.ndarray, axes, out_shape: tuple[int, ...]
     """Contract the input side of ``matrix`` with the ``axes`` of ``t``, in order.
 
     Its output side, shaped ``out_shape``, takes their places, and every other
-    axis passes through: ``first`` read locally, for a leaf or a routed stage.
+    axis passes through: ``on`` read locally, for a leaf or several factors.
     """
     order = [a for a in range(t.ndim) if a not in axes] + list(axes)
     kept = [t.shape[a] for a in order[:-len(axes)]]
@@ -119,27 +122,40 @@ def contract(t: np.ndarray, matrix: np.ndarray, axes, out_shape: tuple[int, ...]
 def _run(s: Superoperator, t: np.ndarray, r: int, c: int) -> np.ndarray:
     """Run ``s`` on the density tensor ``t``, whose axes ``r`` < ``c`` index
     ``s``'s input basis as row and column; they come back indexing its output."""
-    todo = [s]
+    todo, sizes = [s], (t.shape[r],)  # r and c whole, or split into one axis per factor
     while todo:  # a >> chain runs left to right, without recursion
         s = todo.pop()
-        match s._term:
-            case ("compose", f, g):
-                todo += (g, f)
-            case ("leaf",):
-                n = s.output_basis.size
+        term = s._term
+        if term[0] == "compose":
+            todo += (term[2], term[1])
+        elif term[0] == "on":
+            _, inner, positions, ins, outs = term
+            if sizes != ins:  # split r and c into factor axes; a run of ons keeps them split
+                t = _refactor(t, r, c, sizes, ins)
+            cols = c + len(ins) - 1
+            if len(positions) == 1:
+                t = _run(inner, t, r + positions[0], cols + positions[0])
+            else:
+                axes = [r + p for p in positions] + [cols + p for p in positions]
+                t = contract(t, inner.matrix, axes, tuple(outs[p] for p in positions) * 2)
+            sizes = outs
+        else:
+            if len(sizes) > 1:  # a leaf or an arr reads r and c whole
+                t = _refactor(t, r, c, sizes, (prod(sizes),))
+            n = s.output_basis.size
+            if term[0] == "leaf":
                 t = contract(t, s._matrix, (r, c), (n, n))
-            case ("arr", target, inverse):
+            else:
                 for axis in (r, c):
-                    t = _relabel(t, axis, target, inverse, s.output_basis.size)
-            case ("first", inner, carried, left):
-                # split each axis into inner's factor and the carried one, run inner on its own
-                shape, n_a, n_d = t.shape, inner.input_basis.size, carried.size
-                pair, k = ((n_a, n_d), 0) if left else ((n_d, n_a), 1)
-                t = t.reshape(shape[:r] + pair + shape[r + 1:c] + pair + shape[c + 1:])
-                t = _run(inner, t, r + k, c + 1 + k)
-                n = inner.output_basis.size * n_d
-                t = t.reshape(shape[:r] + (n,) + shape[r + 1:c] + (n,) + shape[c + 1:])
-    return t
+                    t = _relabel(t, axis, term[1], term[2], n)
+            sizes = (n,)
+    return t if len(sizes) == 1 else _refactor(t, r, c, sizes, (prod(sizes),))
+
+
+def _refactor(t: np.ndarray, r: int, c: int, old: tuple, new: tuple) -> np.ndarray:
+    """Regroup the axes at ``r`` and ``c``, split as factors of sizes ``old``, as ``new``."""
+    shape, k = t.shape, len(old)
+    return t.reshape(shape[:r] + new + shape[r + k:c + k - 1] + new + shape[c + 2 * k - 1:])
 
 
 def _relabel(t: np.ndarray, axis: int, target: np.ndarray, inverse, n_out: int) -> np.ndarray:
@@ -176,17 +192,15 @@ def _fold(s: Superoperator) -> np.ndarray:
             m = np.zeros((len(pairs), n_mid * n_mid), dtype=complex)
             m[np.arange(len(pairs)), pairs] = 1.0
     else:
-        # first: indexed as (a1,d1,a2,d2) -> (b1,e1,b2,e2), the matrix holds
-        # inner's block (a1,a2) -> (b1,b2) wherever d1 == e1 and d2 == e2;
-        # second's (d1,a1,d2,a2) -> (e1,b1,e2,b2) is filled through a pair-swapped view
-        _, inner, carried, left = s._term
-        n_a, n_b, n_d = inner.input_basis.size, inner.output_basis.size, carried.size
-        m = np.zeros(((n_a * n_d) ** 2, (n_b * n_d) ** 2), dtype=complex)
-        sizes = (n_a, n_d) * 2 + (n_b, n_d) * 2
-        axes = (0, 1, 2, 3, 4, 5, 6, 7) if left else (1, 0, 3, 2, 5, 4, 7, 6)
-        d1, d2 = np.arange(n_d)[:, None], np.arange(n_d)
-        m.reshape([sizes[a] for a in axes]).transpose(axes)[:, d1, :, d2, :, d1, :, d2] = (
-            _fold(inner).reshape(n_a, n_a, n_b, n_b))
+        # on: indexed by factor as (rows in, cols in, rows out, cols out), it holds inner's block
+        # wherever each carried factor's output indices repeat its input ones: one einsum view
+        _, inner, positions, ins, outs = s._term
+        k, sizes = len(ins), ins + ins + outs + outs
+        axes = [i - 2 * k if i >= 2 * k and i % k not in positions else i for i in range(4 * k)]
+        active = [g * k + p for g in range(4) for p in positions]
+        m = np.zeros((prod(ins) ** 2, prod(outs) ** 2), dtype=complex)
+        np.einsum(m.reshape(sizes), axes, [i for i in range(2 * k) if i % k not in positions] + active
+                  )[...] = _fold(inner).reshape([sizes[i] for i in active])
     n = s.output_basis.size
     t = m.reshape(len(m), n, n)
     for right in reversed(rights):
@@ -226,25 +240,40 @@ def identity_arr(basis: Basis) -> Superoperator:
     return arr(lambda x: x, basis, basis, name="arr(id)")
 
 
-def first(s: Superoperator, carried: Basis) -> Superoperator:
-    """Act on the left pair component, carrying the right one unchanged.
+def on(s: Superoperator, basis: Basis, positions, name: str | None = None) -> Superoperator:
+    """``s`` on the factors of the product ``basis`` at ``positions``, in that order, carrying
+    the others: the paper's ``outs <- s -< ins`` (Paterson's notation, which desugars to
+    ``arr``, ``first`` and ``>>>``).  On several factors, ``s`` outputs as many, in their places."""
+    factors, positions = basis.factors or (basis,), tuple(positions)
+    if not positions or len(set(positions) & set(range(len(factors)))) < len(positions):
+        raise ValueError(f"positions {positions!r} must be distinct factors of {len(factors)}")
+    if s.input_basis != product([factors[p] for p in positions]):
+        raise BasisMismatchError(f"channel over {s.input_basis!r} cannot act on factors {positions!r}")
+    placed = s.output_basis.factors or () if len(positions) > 1 else (s.output_basis,)
+    if len(placed) != len(positions):
+        raise ValueError(f"a channel on {len(positions)} factors must output as many, not {len(placed)}")
+    at = dict(zip(positions, placed))
+    outs = [at.get(i, f) for i, f in enumerate(factors)]
+    return _node(basis, product(outs), ("on", s, positions, tuple(f.size for f in factors),
+                                        tuple(f.size for f in outs)), name)
 
-    The carried indices pass through as an exact identity on both the
-    vector and dual sides.
-    """
+
+def first(s: Superoperator, carried: Basis) -> Superoperator:
+    """Act on the left pair component, carrying the right one unchanged:
+    ``on`` at position 0 of the pair."""
+    n_d = carried.size
     return _node(product([s.input_basis, carried]), product([s.output_basis, carried]),
-                 ("first", s, carried, True), f"first({s.name})" if s.name else "first")
+                 ("on", s, (0,), (s.input_basis.size, n_d), (s.output_basis.size, n_d)),
+                 f"first({s.name})" if s.name else "first")
 
 
 def second(s: Superoperator, carried: Basis) -> Superoperator:
-    """Act on the right pair component, carrying the left one unchanged.
-
-    As in Hughes's arrows, ``arr swap >>> first s >>> arr swap``.  The swaps
-    only relabel, so ``s`` runs on the right factor in place, and the dense
-    fold fills this layout directly.
-    """
+    """Act on the right pair component, carrying the left one unchanged: Hughes's
+    ``arr swap >>> first s >>> arr swap``, whose swaps only relabel, is ``on`` at position 1."""
+    n_d = carried.size
     return _node(product([carried, s.input_basis]), product([carried, s.output_basis]),
-                 ("first", s, carried, False), f"second({s.name})" if s.name else "second")
+                 ("on", s, (1,), (n_d, s.input_basis.size), (n_d, s.output_basis.size)),
+                 f"second({s.name})" if s.name else "second")
 
 
 def parallel(s: Superoperator, t: Superoperator) -> Superoperator:

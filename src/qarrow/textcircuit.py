@@ -13,14 +13,12 @@ comments:
 
 Routing compiles each step to one stage: the step's wires, in operand
 order, and a small channel on just those wires (the lifted gate or its
-controlled form, a one-wire decoherence for ``measure``, a partial trace
-for ``discard``).  This is the paper's ``first f`` = f (x) id read locally:
-the routed pipeline holds densities as tensors with a row and a column
-axis per wire and contracts each stage with its own wires' axes, by the
-kernel that ``Superoperator.apply`` uses for a leaf, so no permutation or
-regrouping of the other wires is ever built.  The dense channel of the
-whole circuit is the same contraction run on every basis block, and is
-built only when asked for.
+controlled form, a one-wire decoherence for ``measure``, a partial trace to
+the one-label basis for ``discard``).  The routed circuit is a term like any
+other: each stage acts ``on`` its own wires, the paper's ``outs <- f -<
+ins``, and :func:`~qarrow.superop.apply` runs it on the density, so no
+permutation of the other wires is built, and its dense channel is folded
+only when ``.pipeline.matrix`` is read.
 
 Parsing yields a :class:`CircuitIR` of records in the paper's command form
 ``outs <- f -< ins``: one :class:`Init` per ``init`` line, and one
@@ -38,7 +36,7 @@ import numpy as np
 from .basis import Basis, BasisMismatchError, bool_basis, product
 from .circuits import GATES, LIFTED
 from .density import DensityMatrix, pure_density
-from .superop import Superoperator, contract, measure, trace_left
+from .superop import Superoperator, apply, arr, compose, identity_arr, measure, on, trace_left
 from .vector import StateVector, named_state
 
 
@@ -178,51 +176,35 @@ class RoutedPipeline:
     output_wires: tuple[str, ...]
     stages: tuple[RoutedStage, ...]
 
-    def _run(self, batch: np.ndarray) -> np.ndarray:
-        """Push a batch of matrices over the input wires through every stage.
-
-        Each matrix is held with one row axis and one column axis per input
-        wire.  A stage contracts its ``op`` with its own wires' axes only (see
-        :func:`~qarrow.superop.contract`), which is ``first op`` read locally:
-        every other axis passes through.  A discarded wire's axes shrink to
-        size 1, since its ``op``'s output basis has one label.
-        """
-        n = batch.shape[0]
-        wires = self.input_wires
-        t = batch.reshape((n,) + (2,) * (2 * len(wires)))
-        for stage in self.stages:
-            rows = [1 + wires.index(w) for w in stage.wires]  # axis 0 is the batch
-            axes = rows + [len(wires) + r for r in rows]
-            size = 2 if stage.op.output_basis.size > 1 else 1
-            t = contract(t, stage.op.matrix, axes, (size,) * len(axes))
-        m = 2 ** len(self.output_wires)
-        return t.reshape(n, m, m)
-
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Run the circuit on one density over the input wires."""
         if rho.basis != _wire_basis(self.input_wires):
             raise BasisMismatchError(f"routed circuit expects a density over wires {self.input_wires}")
-        return DensityMatrix._owning(_wire_basis(self.output_wires), self._run(rho.matrix[None])[0])
+        return apply(self.pipeline, rho)
 
     @cached_property
     def pipeline(self) -> Superoperator:
-        """The dense channel: the stages run on every basis block (a1, a2)."""
-        n = 2 ** len(self.input_wires)
-        m = 2 ** len(self.output_wires)
-        blocks = self._run(np.eye(n * n).reshape(n * n, n, n))
-        return Superoperator(_wire_basis(self.input_wires), _wire_basis(self.output_wires),
-                             blocks.reshape(n * n, m * m))
+        """The circuit as one term: each stage ``on`` its own wires, joined by ``>>``;
+        a discarded wire stays as a one-label factor until a last ``arr`` drops it."""
+        basis, steps = _wire_basis(self.input_wires), []
+        for stage in self.stages:
+            steps.append(on(stage.op, basis, [self.input_wires.index(w) for w in stage.wires]))
+            basis = steps[-1].output_basis
+        out = _wire_basis(self.output_wires)
+        if basis != out:  # one-label factors change no row-major index: label i maps to label i
+            steps.append(arr(lambda t: out.labels[basis.index_of(t)], basis, out, "arr(drop discarded)"))
+        return reduce(compose, steps) if steps else identity_arr(out)
 
 
 def _wire_basis(names) -> Basis:
     return product([bool_basis() for _ in names])
 
 
-_BOOL = bool_basis()
-# measure, then trace away the collapsed copy: decoherence of one wire
-_DECOHERE = measure(_BOOL) >> trace_left(product([_BOOL, _BOOL]))
+_BOOL, _UNIT = bool_basis(), Basis([()])
+# decoherence of one wire: measure, then trace away the collapsed copy; folded once
+_DECOHERE = Superoperator(_BOOL, _BOOL, (measure(_BOOL) >> trace_left(product([_BOOL, _BOOL]))).matrix)
 # trace one wire away, leaving the one-label unit basis
-_DISCARD = trace_left(product([_BOOL, Basis([()])]))
+_DISCARD = Superoperator(_BOOL, _UNIT, trace_left(product([_BOOL, _UNIT])).matrix)
 _STEP_OPS = {"measure": _DECOHERE, "discard": _DISCARD}
 
 

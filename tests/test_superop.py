@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qarrow.superop import (
     lin2super,
     max_difference,
     measure,
+    on,
     parallel,
     permute_arr,
     second,
@@ -469,7 +471,7 @@ def channels(draw, depth=3, budget=3):
     """A term of depth <= depth + 1 none of whose bases has more than ``budget`` bool wires."""
     kinds = ["arr", "lift"] + (["measure", "trace_left"] if budget >= 2 else [])
     if depth:
-        kinds += [">>"] + (["first", "second", "parallel"] if budget >= 2 else [])
+        kinds += [">>", "on"] + (["first", "second", "parallel"] if budget >= 2 else [])
     kind = draw(st.sampled_from(kinds))
     if kind in ("arr", "lift"):
         src, dst = draw(st.sampled_from(FLAT[:budget])), draw(st.sampled_from(FLAT[:budget]))
@@ -486,6 +488,16 @@ def channels(draw, depth=3, budget=3):
     if kind == ">>":
         f, g = draw(channels(depth - 1, budget)), draw(channels(depth - 1, budget))
         return f >> draw(random_arr(f.output_basis, g.input_basis)) >> g
+    if kind == "on":
+        # one or two ons over the flat product of k wires, each on 1-2 of them in any order
+        k, ons = draw(st.integers(1, budget)), []
+        for _ in range(draw(st.integers(1, 2))):
+            positions = draw(st.permutations(range(k)))[:draw(st.integers(1, min(2, k)))]
+            part, inner = FLAT[len(positions) - 1], draw(channels(depth - 1, len(positions)))
+            inner = draw(random_arr(part, inner.input_basis)) >> inner >> draw(
+                random_arr(inner.output_basis, part))
+            ons.append(on(inner, FLAT[k - 1], positions))
+        return reduce(compose, ons)
     if kind == "parallel":
         split = draw(st.integers(1, budget - 1))
         return parallel(draw(channels(depth - 1, split)), draw(channels(depth - 1, budget - split)))
@@ -547,6 +559,39 @@ def test_first_scales_past_the_dense_wall():
     assert peak < 8 * 16 * 4 ** 9
 
 
+def test_on_refuses_a_wrong_factor_a_bad_position_and_a_mismatched_output():
+    h, cx = lin2super(gate("hadamard")), lin2super(controlled(gate("qnot")))
+    with pytest.raises(BasisMismatchError, match="cannot act on factors"):
+        on(h, product([RGB, B]), (0,))
+    with pytest.raises(BasisMismatchError, match="cannot act on factors"):
+        on(cx, B3, (0,))  # a two-wire channel on one wire's factor
+    for s, positions in [(h, (3,)), (h, (-1,)), (h, ()), (cx, (1, 1))]:
+        with pytest.raises(ValueError, match="must be distinct factors of 3"):
+            on(s, B3, positions)
+    for s in [cx >> trace_left(BB), arr(lambda t: (t[0], t[1], t[1]), BB, B3)]:
+        with pytest.raises(ValueError, match="must output as many"):
+            on(s, B3, (2, 0))
+
+
+def test_a_chain_of_ons_scales_past_the_dense_wall():
+    # 10 wires: the axes stay split along the whole run, at a peak of a few densities
+    h, cx = lin2super(gate("hadamard")), lin2super(controlled(gate("qnot")))
+    wires = product([B] * 10)
+    s = on(h, wires, (9,))
+    for i in range(9, 0, -1):
+        s = s >> on(cx, wires, (i, i - 1))
+    d = pure_density(unit(wires, (False,) * 10))
+    tracemalloc.start()
+    try:
+        out = s.apply(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ghz = (unit(wires, (False,) * 10).amplitudes + unit(wires, (True,) * 10).amplitudes) / np.sqrt(2)
+    assert dev(out.matrix, np.outer(ghz, ghz)) < 1e-12
+    assert peak < 8 * 16 * 4 ** 10
+
+
 def test_a_long_chain_applies_and_folds_without_recursion():
     h = lin2super(gate("hadamard"))
     s = h
@@ -563,7 +608,7 @@ def test_a_long_chain_applies_and_folds_without_recursion():
 @st.composite
 def arr_led_chains(draw):
     """arr(fn, A, M) >> g, fn injective or not, M smaller or larger than A."""
-    kind = draw(st.sampled_from(["lift", "first", "measure", "trace_left", "arr"]))
+    kind = draw(st.sampled_from(["lift", "first", "on", "measure", "trace_left", "arr"]))
     pick = lambda: draw(st.sampled_from(FLAT + [RGB]))
     if kind == "lift":
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -573,6 +618,10 @@ def arr_led_chains(draw):
     elif kind == "first":
         g = first(draw(st.sampled_from([lin2super(gate("hadamard")), measure(B), trace_left(BB)])),
                   draw(st.sampled_from(FLAT[:2])))
+    elif kind == "on":
+        inner = draw(st.sampled_from([lin2super(gate("hadamard")), measure(B),
+                                      lin2super(controlled(gate("qnot")))]))
+        g = on(inner, B3, draw(st.permutations(range(3)))[:wire_count(inner.input_basis)])
     elif kind == "measure":
         g = measure(pick())
     elif kind == "trace_left":

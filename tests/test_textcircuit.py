@@ -153,15 +153,24 @@ def test_ghz5_routes_to_five_stages():
     assert len(route(parse_circuit(text)).stages) == 5
 
 
-def test_running_a_circuit_makes_no_compose_call(monkeypatch):
+def refuse_to_fold(s):
+    raise AssertionError(f"{s!r} was folded to a matrix")
+
+
+def test_running_a_circuit_folds_no_channel_matrix(monkeypatch):
     ir = parse_circuit("wires a b c\ninit a FT\ncgate X a b\nmeasure a\ndiscard b\ngate H c\n")
-
-    def refuse(*args):
-        raise AssertionError("compose called")
-
-    monkeypatch.setattr(superop, "compose", refuse)
+    monkeypatch.setattr(superop, "_fold", refuse_to_fold)
     out = route(ir).apply(initial_density(ir))
     assert abs(out.trace() - 1) < 1e-12
+
+
+def test_the_pipeline_of_ten_wires_is_a_term_and_applies_as_the_circuit(monkeypatch):
+    # its dense channel would be a 4**10 x 4**10 matrix (16 TiB)
+    ir = parse_circuit("wires " + " ".join(f"w{i}" for i in range(10)) + "\ngate H w0\n" + "".join(
+        f"cgate X w{i} w{i + 1}\n" for i in range(9)))
+    rho = initial_density(ir)
+    monkeypatch.setattr(superop, "_fold", refuse_to_fold)
+    assert route(ir).pipeline.apply(rho).matrix.tobytes() == route(ir).apply(rho).matrix.tobytes()
 
 
 def test_routed_pipeline_bases_match_the_wire_lists():

@@ -256,5 +256,8 @@ def test_the_library_makes_no_defensive_copy(monkeypatch):
         teleport().apply(prepare_teleport_input(q))
     ir = parse_circuit(ghz10)
     out = route(ir).apply(initial_density(ir))
+    ghz5 = route(parse_circuit("wires a b c d e\ngate H a\n" + "".join(
+        f"cgate X {c} {t}\n" for c, t in zip("abcd", "bcde")))).pipeline.matrix
     assert copies == []
+    assert abs(ghz5[0, 31 * 32 + 31] - 0.5) < 1e-12  # |0..0><0..0| -> (|0..0> + |1..1>)/sqrt 2
     assert abs(out.entry((True,) * 10, (True,) * 10) - 0.5) < 1e-12
