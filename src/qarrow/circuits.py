@@ -1,12 +1,11 @@
 """Worked circuits as library artifacts.
 
-The three-wire doubly-controlled-not is built twice: once as a single linear
-operator in continuation style (each basis element threaded through the
-seven-gate sequence, one ``bind`` per gate; monad associativity makes this
-the same operator as the do-block with every gate nested in the previous
-one's continuation), and once as the paper's arrow block, each lifted gate
-acting ``on`` its own wires.  The two constructions must agree, which the
-test suite checks against an independently multiplied gate-matrix oracle.
+The three-wire doubly-controlled-not is built twice, as seven lines that
+each place one gate ``on`` its own wires and carry the rest: once in the
+vector monad, each basis element threaded through the steps with one
+``bind`` per gate, and once as the paper's arrow block.  The two
+constructions must agree, which the test suite checks against an
+independently multiplied gate-matrix oracle.
 
 Teleportation is split into the sender (entangle, measure, keep the two
 classical bits) and the receiver (classically controlled corrections, then
@@ -30,6 +29,7 @@ from typing import Callable
 
 from .basis import bool_basis, product
 from .density import DensityMatrix, pure_density
+from . import linear
 from .linear import LinearOp, adjoint, controlled, from_rows, gate
 from .superop import Superoperator, arr, compose, first, lin2super, measure, on, trace_left
 from .vector import StateVector, bind, named_state, unit
@@ -50,51 +50,25 @@ _DROP_B2_B = trace_left(product([_B2, _B]))  # keep the corrected qubit
 
 
 def toffoli_lin() -> LinearOp:
-    """The 8x8 operator for wire order (top, middle, bottom).
+    """The 8x8 operator for wire order (top, middle, bottom): the vector-monad twin of
+    :func:`toffoli_super`, each gate a step operator placed ``on`` its wires.
 
-    Continuation style: each basis element is threaded through hadamard on
-    bottom, controlled-phase middle->bottom, cnot top->middle,
-    controlled-adjoint-phase middle->bottom, cnot top->middle,
-    controlled-phase top->bottom, hadamard on bottom.  Each gate is a step
-    operator built with one ``bind`` per label, and a row binds the seven
-    steps left to right.  By monad associativity,
-    ``(v >>= f) >>= g = v >>= (λa. f a >>= g)``, this equals the do-block
-    that nests every gate in the previous one's continuation, but it does not
-    re-run the later gates for every intermediate label.
+    A row binds the seven steps left to right, which by monad associativity,
+    ``(v >>= f) >>= g = v >>= (λa. f a >>= g)``, equals the do-block that
+    nests every gate in the previous one's continuation.
     """
     h = GATES["H"]
-    cnot = controlled(GATES["X"])
-    cphase = controlled(GATES["PHASE"])
-    caphase = controlled(GATES["APHASE"])
+    cnot, cphase, caphase = (controlled(GATES[n]) for n in ("X", "PHASE", "APHASE"))
     steps = [
-        _on_wires(h, (2,)),
-        _on_wires(cphase, (1, 2)),
-        _on_wires(cnot, (0, 1)),
-        _on_wires(caphase, (1, 2)),
-        _on_wires(cnot, (0, 1)),
-        _on_wires(cphase, (0, 2)),
-        _on_wires(h, (2,)),
+        linear.on(h, _B3, (2,)),
+        linear.on(cphase, _B3, (1, 2)),
+        linear.on(cnot, _B3, (0, 1)),
+        linear.on(caphase, _B3, (1, 2)),
+        linear.on(cnot, _B3, (0, 1)),
+        linear.on(cphase, _B3, (0, 2)),
+        linear.on(h, _B3, (2,)),
     ]
     return from_rows(lambda label: reduce(bind, steps, unit(_B3, label)), _B3, name="toffoli")
-
-
-def _on_wires(op: LinearOp, wires: tuple[int, ...]) -> LinearOp:
-    """``op`` on the given wires of a 3-wire label, the other wires carried.
-
-    A one-wire ``op`` takes and returns a bare label; a two-wire one a pair.
-    """
-    def row(label: tuple) -> StateVector:
-        args = label[wires[0]] if len(wires) == 1 else tuple(label[w] for w in wires)
-
-        def put(out) -> StateVector:
-            new = list(label)
-            for w, value in zip(wires, (out,) if len(wires) == 1 else out):
-                new[w] = value
-            return unit(_B3, tuple(new))
-
-        return bind(op.row(args), put)
-
-    return from_rows(row, _B3)
 
 
 def toffoli_super() -> Superoperator:

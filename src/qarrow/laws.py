@@ -79,11 +79,14 @@ class SeededGenerator:
         v = self.vector(bool_basis())
         return v.scale(1.0 / np.sqrt(vector.dot(v, v).real))
 
+    def table(self, input_basis: Basis, output_basis: Basis) -> dict:
+        """Random total function between bases, as its table: ``table[x]`` is x's image."""
+        picks = self._rng.integers(output_basis.size, size=input_basis.size)
+        return {x: output_basis.element_at(int(i)) for x, i in zip(input_basis.labels, picks)}
+
     def mapping(self, input_basis: Basis, output_basis: Basis) -> tuple[Callable[[Label], Label], str]:
         """Random total function between bases, with a printable table."""
-        picks = [output_basis.element_at(int(i))
-                 for i in self._rng.integers(output_basis.size, size=input_basis.size)]
-        return _tabled(dict(zip(input_basis.labels, picks)))
+        return _tabled(self.table(input_basis, output_basis))
 
     def permutation(self, basis: Basis) -> tuple[Callable[[Label], Label], str]:
         order = self._rng.permutation(basis.size)
@@ -95,8 +98,13 @@ class SeededGenerator:
 
 def _tabled(table: dict) -> tuple[Callable[[Label], Label], str]:
     """The function that looks labels up in ``table``, and the table as text."""
-    desc = "{" + ", ".join(f"{label_text(k)}->{label_text(v)}" for k, v in table.items()) + "}"
-    return (lambda x: table[x]), desc
+    text = ", ".join(f"{label_text(k)}->{label_text(v)}" for k, v in table.items())
+    return table.__getitem__, "{" + text + "}"
+
+
+def _render(template: str, *values) -> str:
+    """A witness: ``template`` filled with ``values``, each drawn table (a dict) as its text."""
+    return template.format(*(_tabled(v)[1] if isinstance(v, dict) else v for v in values))
 
 
 def default_bases() -> list[Basis]:
@@ -228,11 +236,10 @@ def check_arrow_laws(gen: SeededGenerator | None = None,
             src = gen.pick(fn_bases)
             mid = gen.pick(fn_bases)
             dst = gen.pick(fn_bases)
-            fn_f, desc_f = gen.mapping(src, mid)
-            fn_g, desc_g = gen.mapping(mid, dst)
-            yield (max_difference(arr(lambda x: fn_g(fn_f(x)), src, dst),
-                                  arr(fn_f, src, mid) >> arr(fn_g, mid, dst)),
-                   ("f={}, g={}".format, desc_f, desc_g))
+            f, g = gen.table(src, mid), gen.table(mid, dst)
+            yield (max_difference(arr(lambda x: g[f[x]], src, dst),
+                                  arr(f.__getitem__, src, mid) >> arr(g.__getitem__, mid, dst)),
+                   (_render, "f={}, g={}", f, g))
 
     def first_arr():
         # first (arr f)  ==  arr (f x id)
@@ -240,20 +247,20 @@ def check_arrow_laws(gen: SeededGenerator | None = None,
             src = gen.pick(fn_bases)
             dst = gen.pick(fn_bases)
             carried = gen.pick([b, bb])
-            fn, desc = gen.mapping(src, dst)
-            yield (max_difference(first_fn(arr(fn, src, dst), carried),
-                                  arr(lambda t: (fn(t[0]), t[1]),
+            f = gen.table(src, dst)
+            yield (max_difference(first_fn(arr(f.__getitem__, src, dst), carried),
+                                  arr(lambda t: (f[t[0]], t[1]),
                                       product([src, carried]), product([dst, carried]))),
-                   ("f={}, carried size {}".format, desc, carried.size))
+                   (_render, "f={}, carried size {}", f, carried.size))
 
     def first_exchange():
         # first f >>> arr (id x g)  ==  arr (id x g) >>> first f
         for f in pool:
             for carried_out in [b, bb]:
-                fn, desc = gen.mapping(b, carried_out)
-                lhs = first_fn(f, b) >> _id_times(fn, f.output_basis, b, carried_out)
-                rhs = _id_times(fn, f.input_basis, b, carried_out) >> first_fn(f, carried_out)
-                yield max_difference(lhs, rhs), ("f={}, g={}".format, name_of(f), desc)
+                g = gen.table(b, carried_out)
+                lhs = first_fn(f, b) >> _id_times(g.__getitem__, f.output_basis, b, carried_out)
+                rhs = _id_times(g.__getitem__, f.input_basis, b, carried_out) >> first_fn(f, carried_out)
+                yield max_difference(lhs, rhs), (_render, "f={}, g={}", name_of(f), g)
 
     def first_drop(f):
         # first f >>> arr fst  ==  arr fst >>> f

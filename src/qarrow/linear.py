@@ -8,6 +8,7 @@ diagrammatic order (first argument acts first).
 
 from __future__ import annotations
 
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -71,6 +72,39 @@ def fun2lin(fn: Callable[[Label], Label], input_basis: Basis, output_basis: Basi
     for i, label in enumerate(input_basis):
         m[i, output_basis.index_of(fn(label))] = 1.0
     return LinearOp._owning(input_basis, output_basis, m, name=name or "fun2lin")
+
+
+def placement(f, basis: Basis, positions) -> tuple[tuple, tuple, tuple, Basis]:
+    """Check that ``f``, an operator or a channel, can act ``on`` the factors of ``basis`` at
+    ``positions``; gives the positions, the factor sizes in and out, and the output basis."""
+    factors, positions = basis.factors or (basis,), tuple(positions)
+    if not positions or len(set(positions) & set(range(len(factors)))) < len(positions):
+        raise ValueError(f"positions {positions!r} must be distinct factors of {len(factors)}")
+    if f.input_basis != product([factors[p] for p in positions]):
+        raise BasisMismatchError(f"a map over {f.input_basis!r} cannot act on factors {positions!r}")
+    placed = f.output_basis.factors or () if len(positions) > 1 else (f.output_basis,)
+    if len(placed) != len(positions):
+        raise ValueError(f"a map on {len(positions)} factors must output as many, not {len(placed)}")
+    outs = [placed[positions.index(i)] if i in positions else g for i, g in enumerate(factors)]
+    return positions, tuple(g.size for g in factors), tuple(g.size for g in outs), product(outs)
+
+
+def place(m: np.ndarray, ins: tuple, outs: tuple, positions) -> np.ndarray:
+    """``m``, from the factors ``ins`` at ``positions`` to those of ``outs``, written into zeros
+    through one einsum view, in which each carried factor's output index repeats its input index."""
+    k, carried = len(ins), [i for i in range(len(ins)) if i not in positions]
+    axes = [i if i < k or i - k in positions else i - k for i in range(2 * k)]  # over (ins, outs)
+    placed = np.zeros((prod(ins), prod(outs)), dtype=complex)
+    view = np.einsum(placed.reshape(ins + outs), axes, carried + list(positions) + [k + p for p in positions])
+    view[...] = m.reshape([ins[p] for p in positions] + [outs[p] for p in positions])
+    return placed
+
+
+def on(f: LinearOp, basis: Basis, positions, name: str | None = None) -> LinearOp:
+    """``f`` on the factors of the product ``basis`` at ``positions``, in that order, carrying
+    the others: the vector side of the paper's ``outs <- f -< ins``."""
+    positions, ins, outs, out_basis = placement(f, basis, positions)
+    return LinearOp._owning(basis, out_basis, place(f.matrix, ins, outs, positions), name=name)
 
 
 def identity(basis: Basis) -> LinearOp:

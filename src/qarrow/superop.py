@@ -33,7 +33,7 @@ import numpy as np
 
 from .basis import Basis, BasisMismatchError, Label, label_text, product
 from .density import DensityMatrix
-from .linear import LinearOp
+from .linear import LinearOp, place, placement
 from .vector import frozen_array, require_composable, require_tolerance
 
 
@@ -145,7 +145,7 @@ def _run(s: Superoperator, t: np.ndarray, r: int, c: int) -> np.ndarray:
             n = s.output_basis.size
             if term[0] == "leaf":
                 t = contract(t, s._matrix, (r, c), (n, n))
-            else:
+            elif not term[3]:  # an arr whose index map is the identity moves nothing
                 for axis in (r, c):
                     t = _relabel(t, axis, term[1], term[2], n)
             sizes = (n,)
@@ -192,15 +192,9 @@ def _fold(s: Superoperator) -> np.ndarray:
             m = np.zeros((len(pairs), n_mid * n_mid), dtype=complex)
             m[np.arange(len(pairs)), pairs] = 1.0
     else:
-        # on: indexed by factor as (rows in, cols in, rows out, cols out), it holds inner's block
-        # wherever each carried factor's output indices repeat its input ones: one einsum view
+        # on: the pair space's factors are (rows, cols), so inner sits at positions P and k + P
         _, inner, positions, ins, outs = s._term
-        k, sizes = len(ins), ins + ins + outs + outs
-        axes = [i - 2 * k if i >= 2 * k and i % k not in positions else i for i in range(4 * k)]
-        active = [g * k + p for g in range(4) for p in positions]
-        m = np.zeros((prod(ins) ** 2, prod(outs) ** 2), dtype=complex)
-        np.einsum(m.reshape(sizes), axes, [i for i in range(2 * k) if i % k not in positions] + active
-                  )[...] = _fold(inner).reshape([sizes[i] for i in active])
+        m = place(_fold(inner), ins + ins, outs + outs, positions + tuple(len(ins) + p for p in positions))
     n = s.output_basis.size
     t = m.reshape(len(m), n, n)
     for right in reversed(rights):
@@ -232,8 +226,8 @@ def arr(fn: Callable[[Label], Label], input_basis: Basis, output_basis: Basis,
     targets = [output_basis.index_of(fn(label)) for label in input_basis]
     bijective = len(set(targets)) == len(targets) == output_basis.size
     target = np.array(targets)
-    return _node(input_basis, output_basis,
-                 ("arr", target, np.argsort(target) if bijective else None), name or "arr")
+    return _node(input_basis, output_basis, ("arr", target, np.argsort(target) if bijective else None,
+                                             targets == list(range(output_basis.size))), name or "arr")
 
 
 def identity_arr(basis: Basis) -> Superoperator:
@@ -244,18 +238,8 @@ def on(s: Superoperator, basis: Basis, positions, name: str | None = None) -> Su
     """``s`` on the factors of the product ``basis`` at ``positions``, in that order, carrying
     the others: the paper's ``outs <- s -< ins`` (Paterson's notation, which desugars to
     ``arr``, ``first`` and ``>>>``).  On several factors, ``s`` outputs as many, in their places."""
-    factors, positions = basis.factors or (basis,), tuple(positions)
-    if not positions or len(set(positions) & set(range(len(factors)))) < len(positions):
-        raise ValueError(f"positions {positions!r} must be distinct factors of {len(factors)}")
-    if s.input_basis != product([factors[p] for p in positions]):
-        raise BasisMismatchError(f"channel over {s.input_basis!r} cannot act on factors {positions!r}")
-    placed = s.output_basis.factors or () if len(positions) > 1 else (s.output_basis,)
-    if len(placed) != len(positions):
-        raise ValueError(f"a channel on {len(positions)} factors must output as many, not {len(placed)}")
-    at = dict(zip(positions, placed))
-    outs = [at.get(i, f) for i, f in enumerate(factors)]
-    return _node(basis, product(outs), ("on", s, positions, tuple(f.size for f in factors),
-                                        tuple(f.size for f in outs)), name)
+    positions, ins, outs, out_basis = placement(s, basis, positions)
+    return _node(basis, out_basis, ("on", s, positions, ins, outs), name)
 
 
 def first(s: Superoperator, carried: Basis) -> Superoperator:

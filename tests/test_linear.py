@@ -1,7 +1,12 @@
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from qarrow.basis import BasisMismatchError, bool_basis, product
+from qarrow import linear, superop
+from qarrow.basis import Basis, BasisMismatchError, bool_basis, product
+from qarrow.laws import SeededGenerator
 from qarrow.linear import (
     LinearOp,
     adjoint,
@@ -17,10 +22,11 @@ from qarrow.linear import (
 )
 from qarrow.vector import bind, named_state, unit
 
-from oracle_bases import ORACLE_BASES
+from oracle_bases import ORACLE_BASES, RGB
 
 B = bool_basis()
 BB = product([B, B])
+B3 = product([B, B, B])
 R = 1 / np.sqrt(2)
 
 
@@ -216,3 +222,81 @@ def test_lin_tensor_matches_the_kron_oracle(left):
 def test_repr_names_the_operator_or_its_shape():
     assert repr(gate("hadamard")) == "LinearOp(hadamard)"
     assert repr(LinearOp(B, BB, np.zeros((2, 4)))) == "LinearOp(2->4)"
+
+
+def test_on_refuses_a_wrong_factor_a_bad_position_and_a_mismatched_output():
+    h, cx = gate("hadamard"), controlled(gate("qnot"))
+    with pytest.raises(BasisMismatchError, match="cannot act on factors"):
+        linear.on(h, product([RGB, B]), (0,))
+    with pytest.raises(BasisMismatchError, match="cannot act on factors"):
+        linear.on(cx, B3, (0,))  # a two-wire operator on one wire's factor
+    for f, positions in [(h, (3,)), (h, (-1,)), (h, ()), (cx, (1, 1))]:
+        with pytest.raises(ValueError, match="must be distinct factors of 3"):
+            linear.on(f, B3, positions)
+    for f in [fun2lin(lambda t: t[1], BB, B), fun2lin(lambda t: (t[0], t[1], t[1]), BB, B3)]:
+        with pytest.raises(ValueError, match="must output as many"):
+            linear.on(f, B3, (2, 0))
+
+
+def pack(labels):
+    """A label over the product of the factors these labels come from."""
+    return labels[0] if len(labels) == 1 else tuple(labels)
+
+
+def on_oracle(u, basis, positions):
+    """``u`` on ``positions`` by relabelling: move its factors to the front, tensor it
+    with the identity on the rest, and move its outputs back into their places."""
+    factors = basis.factors
+    rest = [i for i in range(len(factors)) if i not in positions]
+    rest_basis = product([factors[i] for i in rest]) if rest else Basis([()])
+    placed = u.output_basis.factors if len(positions) > 1 else (u.output_basis,)
+    outs = list(factors)
+    for p, f in zip(positions, placed):
+        outs[p] = f
+
+    def front(t):
+        return pack([t[p] for p in positions]), pack([t[i] for i in rest])
+
+    def back(pair):
+        out = [None] * len(factors)
+        for where, part in [(positions, pair[0]), (rest, pair[1])]:
+            for i, x in zip(where, (part,) if len(where) == 1 else part):
+                out[i] = x
+        return tuple(out)
+
+    moved = compose(fun2lin(front, basis, product([u.input_basis, rest_basis])),
+                    lin_tensor(u, identity(rest_basis)))
+    return compose(moved, fun2lin(back, moved.output_basis, product(outs)))
+
+
+@st.composite
+def placements(draw):
+    """An operator from ``SeededGenerator.linear`` on 1-3 factors, in any order, of a
+    product of 2-4 bool or rgb factors; it outputs bool or rgb factors.  Products stay
+    at 36 labels or fewer, so the channels compared stay small."""
+    factors = draw(st.lists(st.sampled_from([B, RGB]), min_size=2, max_size=4))
+    positions = tuple(draw(st.permutations(range(len(factors))))[:draw(st.integers(1, min(3, len(factors))))])
+    placed = draw(st.lists(st.sampled_from([B, RGB]), min_size=len(positions), max_size=len(positions)))
+    outs = list(factors)
+    for p, f in zip(positions, placed):
+        outs[p] = f
+    assume(prod(f.size for f in factors) <= 36 and prod(f.size for f in outs) <= 36)
+    u = SeededGenerator(draw(st.integers(0, 2 ** 32 - 1))).linear(
+        product([factors[p] for p in positions]), product(placed))
+    return u, product(factors), positions
+
+
+@given(placements())
+def test_on_lifts_to_the_channel_on(case):
+    u, basis, positions = case
+    lifted = superop.lin2super(linear.on(u, basis, positions)).matrix
+    assert np.array_equal(lifted, superop.on(superop.lin2super(u), basis, positions).matrix)
+
+
+@given(placements())
+def test_on_matches_the_relabelled_tensor_oracle(case):
+    u, basis, positions = case
+    placed = linear.on(u, basis, positions)
+    expected = on_oracle(u, basis, positions)
+    assert placed.output_basis == expected.output_basis
+    assert dev(placed.matrix, expected.matrix) <= 1e-12

@@ -173,6 +173,24 @@ def test_the_pipeline_of_ten_wires_is_a_term_and_applies_as_the_circuit(monkeypa
     assert route(ir).pipeline.apply(rho).matrix.tobytes() == route(ir).apply(rho).matrix.tobytes()
 
 
+def test_a_routed_discard_gathers_nothing_for_its_identity_drop(monkeypatch):
+    # GHZ on 10 wires, then one wire traced away: the closing drop-arr maps label i to label i
+    ir = parse_circuit("wires " + " ".join(f"w{i}" for i in range(10)) + "\ngate H w0\n" + "".join(
+        f"cgate X w{i} w{i + 1}\n" for i in range(9)) + "discard w4\n")
+    relabel = superop._relabel
+
+    def moving_relabel(t, axis, target, inverse, n_out):
+        assert not np.array_equal(target, np.arange(n_out)), "an identity index map was gathered"
+        return relabel(t, axis, target, inverse, n_out)
+
+    monkeypatch.setattr(superop, "_relabel", moving_relabel)
+    out = route(ir).apply(initial_density(ir))
+    expected = np.zeros((2 ** 9, 2 ** 9))
+    expected[0, 0] = expected[-1, -1] = 0.5
+    assert np.max(np.abs(out.matrix - expected)) < 1e-12
+    assert out.basis == product([B] * 9)
+
+
 def test_routed_pipeline_bases_match_the_wire_lists():
     ir = parse_circuit("wires a b c\ngate H b\ndiscard a\n")
     routed = route(ir)
