@@ -1,52 +1,86 @@
-"""Worked circuits as library artifacts.
+"""Worked circuits as library artifacts, each a :func:`proc` block.
 
-The three-wire doubly-controlled-not is built twice, as seven lines that
-each place one gate ``on`` its own wires and carry the rest: once in the
-vector monad, each basis element threaded through the steps with one
-``bind`` per gate, and once as the paper's arrow block.  The two
-constructions must agree, which the test suite checks against an
-independently multiplied gate-matrix oracle.
+:func:`proc` is the paper's ``proc`` notation over named qubit wires: a list
+of ``outs <- op -< ins`` lines, each ``op`` a channel or a key of
+:data:`LIFTED`, the one step table, which the circuit-file router reads too
+(every gate, plain and controlled, lifted once, plus the one-wire
+``measure`` and ``discard``).
 
-Teleportation is split into the sender (entangle, measure, keep the two
-classical bits) and the receiver (classically controlled corrections, then
-discard the control bits); composing them is an identity channel on the
-transported qubit.  ``copy`` and ``weaken`` are the two classical-function
-lifts whose contrast shows which discards are physical: sharing is fine,
-silently forgetting is not.
+The doubly-controlled-not is one table of (gate, wires) lines read twice: in
+the vector monad, one ``bind`` per gate, and as the paper's arrow block.  The
+two must agree, which the test suite checks against an independently
+multiplied gate-matrix oracle.
 
-A circuit is wiring over shared parts: each catalog gate is lifted once
-(:data:`LIFTED`, which the circuit-file router uses too), and the
-measurement and partial-trace leaves of teleportation are built once.
-Channels are immutable, so sharing a leaf is safe; every call still wires a
-fresh top-level term, named by its last ``compose``; names are read-only.
+Teleportation is the sender's lines (entangle, measure, keep the two
+classical bits), then the receiver's (classically controlled corrections,
+then discard the control bits): an identity channel on the transported
+qubit.  ``copy`` and ``weaken`` show which discards are physical: sharing is
+fine, silently forgetting is not, so :func:`proc` refuses outputs that
+forget a live wire.  Channels are immutable, so sharing a step is safe;
+every call wires a fresh top-level term, whose name is read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter
 from typing import Callable
 
-from .basis import bool_basis, product
+from .basis import Basis, bool_basis, product
 from .density import DensityMatrix, pure_density
 from . import linear
 from .linear import LinearOp, adjoint, controlled, from_rows, gate
-from .superop import Superoperator, arr, compose, first, lin2super, measure, on, trace_left
+from .superop import Superoperator, arr, compose, identity_arr, lin2super, measure, on, trace_left
 from .vector import StateVector, bind, named_state, unit
 
 
 _B = bool_basis()
 _B2 = product([_B, _B])
 _B3 = product([_B, _B, _B])
+_UNIT = Basis([()])
 
-# the circuit-file gates by name, each lifted once, plain and (prefixed C) controlled
+# the circuit-file gates by name, plain and (prefixed C) controlled
 GATES = {"H": gate("hadamard"), "X": gate("qnot"), "PHASE": gate("phase"), "Z": gate("z"),
          "APHASE": adjoint(gate("phase"))}
-LIFTED = {**{n: lin2super(op) for n, op in GATES.items()},
-          **{"C" + n: lin2super(controlled(op)) for n, op in GATES.items()}}
-_MEASURE2 = measure(_B2)
-_DROP_B2 = trace_left(product([_B2, _B2]))  # keep the two classical bits
-_DROP_B2_B = trace_left(product([_B2, _B]))  # keep the corrected qubit
+_LINEAR = {**GATES, **{"C" + n: controlled(op) for n, op in GATES.items()}}
+# the step table: each gate lifted once, and the two one-wire steps, folded once
+LIFTED = {**{n: lin2super(op) for n, op in _LINEAR.items()},
+          "measure": Superoperator(_B, _B, (measure(_B) >> trace_left(_B2)).matrix),
+          "discard": Superoperator(_B, _UNIT, trace_left(product([_B, _UNIT])).matrix)}
+
+
+def proc(wires, lines, outputs, name: str | None = None) -> Superoperator:
+    """``proc wires -> do { outs <- op -< ins; ...; returnA -< outputs }``: each line
+    ``(op, ins)`` is ``on(op, basis, positions of ins)``.  A discarded wire stays a one-label
+    factor until the closing ``arr`` keeps ``outputs``, which must name each live wire once:
+    dropping one silently would be ``weaken``.  ``name`` names the last ``compose``."""
+    wires, outputs = tuple(wires), tuple(outputs)
+    index = {w: i for i, w in enumerate(wires)}
+    for w in [w for _, ins in lines for w in ins] + list(outputs):
+        if w not in index:
+            raise ValueError(f"unknown wire {w!r}")
+    basis, terms = product([_B] * len(wires)), []
+    for op, ins in lines:
+        terms.append(on(LIFTED[op] if isinstance(op, str) else op, basis, [index[w] for w in ins]))
+        basis = terms[-1].output_basis
+    live = [w for w, f in zip(wires, basis.factors or (basis,)) if f.size > 1]
+    for w in wires:
+        if outputs.count(w) != (w in live):
+            raise ValueError(f"the outputs name the {'live' if w in live else 'discarded'} "
+                             f"wire {w!r} {outputs.count(w)} times, not {int(w in live)}")
+    if outputs != wires:  # else every wire is live, in place
+        pick = itemgetter(*(index[w] for w in outputs))
+        terms.append(arr(pick, basis, product([_B] * len(outputs)), "arr(outputs)"))
+    *init, last = terms or [identity_arr(basis)]
+    return compose(reduce(compose, init), last, name) if init else last
+
+
+# the doubly-controlled not, one gate per line
+_TOFFOLI = (("H", ("bottom",)), ("CPHASE", ("middle", "bottom")), ("CX", ("top", "middle")),
+            ("CAPHASE", ("middle", "bottom")), ("CX", ("top", "middle")),
+            ("CPHASE", ("top", "bottom")), ("H", ("bottom",)))
+_TOFFOLI_WIRES = ("top", "middle", "bottom")
 
 
 def toffoli_lin() -> LinearOp:
@@ -57,69 +91,41 @@ def toffoli_lin() -> LinearOp:
     ``(v >>= f) >>= g = v >>= (λa. f a >>= g)``, equals the do-block that
     nests every gate in the previous one's continuation.
     """
-    h = GATES["H"]
-    cnot, cphase, caphase = (controlled(GATES[n]) for n in ("X", "PHASE", "APHASE"))
-    steps = [
-        linear.on(h, _B3, (2,)),
-        linear.on(cphase, _B3, (1, 2)),
-        linear.on(cnot, _B3, (0, 1)),
-        linear.on(caphase, _B3, (1, 2)),
-        linear.on(cnot, _B3, (0, 1)),
-        linear.on(cphase, _B3, (0, 2)),
-        linear.on(h, _B3, (2,)),
-    ]
+    steps = [linear.on(_LINEAR[g], _B3, map(_TOFFOLI_WIRES.index, ins)) for g, ins in _TOFFOLI]
     return from_rows(lambda label: reduce(bind, steps, unit(_B3, label)), _B3, name="toffoli")
 
 
 def toffoli_super() -> Superoperator:
     """The paper's arrow block for the circuit: one ``outs <- gate -< ins`` line per gate,
     acting ``on`` its wires of (top, middle, bottom) and carrying the other one."""
-    had, cnot, cphase, caphase = (LIFTED[n] for n in ("H", "CX", "CPHASE", "CAPHASE"))
-    s = on(had, _B3, (2,))
-    s = s >> on(cphase, _B3, (1, 2))
-    s = s >> on(cnot, _B3, (0, 1))
-    s = s >> on(caphase, _B3, (1, 2))
-    s = s >> on(cnot, _B3, (0, 1))
-    s = s >> on(cphase, _B3, (0, 2))
-    return compose(s, on(had, _B3, (2,)), "toffoli")
+    return proc(_TOFFOLI_WIRES, _TOFFOLI, _TOFFOLI_WIRES, "toffoli")
+
+
+# the sender's lines: cnot with q as control, hadamard on q, then measure both wires
+_ALICE = (("CX", ("q", "eprL")), ("H", ("q",)), ("measure", ("q",)), ("measure", ("eprL",)))
+
+
+def _bob_lines(m1, m2):  # on eprR: cnot controlled by m2, controlled-z by m1, then discard both
+    return (("CX", (m2, "eprR")), ("CZ", (m1, "eprR")), ("discard", (m1,)), ("discard", (m2,)))
 
 
 def alice() -> Superoperator:
-    """Sender half of teleportation; wire order (eprL, q) in, (m1, m2) out.
+    """Sender half of teleportation; wire order (eprL, q) in, (m1, m2) = (q, eprL) out.
 
-    cnot with q as control, hadamard on q, measure the pair, discard the
-    collapsed half.  The output is fully decohered: a diagonal density of
-    the two classical bits.
+    The output is fully decohered: a diagonal density of the two classical bits.
     """
-    b, bb = _B, _B2
-    s = arr(lambda t: (t[1], t[0]), bb, bb, name="arr(swap)")
-    s = s >> LIFTED["CX"]
-    s = s >> first(LIFTED["H"], b)
-    s = s >> _MEASURE2
-    return compose(s, _DROP_B2, "alice")
+    return proc(("eprL", "q"), _ALICE, ("q", "eprL"), "alice")
 
 
 def bob() -> Superoperator:
-    """Receiver half; wire order (eprR, m1, m2) in, the corrected qubit out.
-
-    cnot controlled by m2, controlled-z by m1, then discard both bits.
-    """
-    b, bb, b3 = _B, _B2, _B3
-    s = arr(lambda t: ((t[2], t[0]), t[1]), b3, product([bb, b]))
-    s = s >> first(LIFTED["CX"], b)
-    s = s >> arr(lambda t: ((t[1], t[0][1]), t[0][0]), product([bb, b]), product([bb, b]))
-    s = s >> first(LIFTED["CZ"], b)
-    s = s >> arr(lambda t: ((t[0][0], t[1]), t[0][1]), product([bb, b]), product([bb, b]))
-    return compose(s, _DROP_B2_B, "bob")
+    """Receiver half; wire order (eprR, m1, m2) in, the corrected qubit out."""
+    return proc(("eprR", "m1", "m2"), _bob_lines("m1", "m2"), ("eprR",), "bob")
 
 
 def teleport() -> Superoperator:
-    """Identity channel on the third wire; wire order (eprL, eprR, q)."""
-    b, bb, b3 = _B, _B2, _B3
-    s = arr(lambda t: ((t[0], t[2]), t[1]), b3, product([bb, b]))
-    s = s >> first(alice(), b)
-    s = s >> arr(lambda t: (t[1], t[0][0], t[0][1]), product([bb, b]), b3)
-    return compose(s, bob(), "teleport")
+    """Identity channel on the third wire; wire order (eprL, eprR, q).  Alice's lines, then
+    bob's, whose classical bits are the measured q and eprL wires."""
+    return proc(("eprL", "eprR", "q"), _ALICE + _bob_lines("q", "eprL"), ("eprR",), "teleport")
 
 
 def prepare_teleport_input(q: StateVector) -> DensityMatrix:

@@ -12,11 +12,11 @@ comments:
     discard <wire>                partial-traces the wire away
 
 Routing compiles each step to one stage: the step's wires, in operand
-order, and a small channel on just those wires (the lifted gate or its
-controlled form, a one-wire decoherence for ``measure``, a partial trace to
-the one-label basis for ``discard``).  The routed circuit is a term like any
-other: each stage acts ``on`` its own wires, the paper's ``outs <- f -<
-ins``, and :func:`~qarrow.superop.apply` runs it on the density, so no
+order, and its channel from :data:`~qarrow.circuits.LIFTED`, the one step
+table (a lifted gate or its controlled form, or the one-wire ``measure`` or
+``discard``).  The routed circuit is the :func:`~qarrow.circuits.proc`
+block of its stages, each acting ``on`` its own wires, the paper's ``outs
+<- f -< ins``; :func:`~qarrow.superop.apply` runs it on the density, so no
 permutation of the other wires is built, and its dense channel is folded
 only when ``.pipeline.matrix`` is read.
 
@@ -34,9 +34,9 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .basis import Basis, BasisMismatchError, bool_basis, product
-from .circuits import GATES, LIFTED
+from .circuits import GATES, LIFTED, proc
 from .density import DensityMatrix, pure_density
-from .superop import Superoperator, apply, arr, compose, identity_arr, measure, on, trace_left
+from .superop import Superoperator, apply
 from .vector import StateVector, named_state
 
 
@@ -184,28 +184,13 @@ class RoutedPipeline:
 
     @cached_property
     def pipeline(self) -> Superoperator:
-        """The circuit as one term: each stage ``on`` its own wires, joined by ``>>``;
-        a discarded wire stays as a one-label factor until a last ``arr`` drops it."""
-        basis, steps = _wire_basis(self.input_wires), []
-        for stage in self.stages:
-            steps.append(on(stage.op, basis, [self.input_wires.index(w) for w in stage.wires]))
-            basis = steps[-1].output_basis
-        out = _wire_basis(self.output_wires)
-        if basis != out:  # one-label factors change no row-major index: label i maps to label i
-            steps.append(arr(lambda t: out.labels[basis.index_of(t)], basis, out, "arr(drop discarded)"))
-        return reduce(compose, steps) if steps else identity_arr(out)
+        """The circuit as one ``proc`` block: each stage ``on`` its own wires, joined by ``>>``."""
+        return proc(self.input_wires, [(stage.op, stage.wires) for stage in self.stages],
+                    self.output_wires)
 
 
 def _wire_basis(names) -> Basis:
     return product([bool_basis() for _ in names])
-
-
-_BOOL, _UNIT = bool_basis(), Basis([()])
-# decoherence of one wire: measure, then trace away the collapsed copy; folded once
-_DECOHERE = Superoperator(_BOOL, _BOOL, (measure(_BOOL) >> trace_left(product([_BOOL, _BOOL]))).matrix)
-# trace one wire away, leaving the one-label unit basis
-_DISCARD = Superoperator(_BOOL, _UNIT, trace_left(product([_BOOL, _UNIT])).matrix)
-_STEP_OPS = {"measure": _DECOHERE, "discard": _DISCARD}
 
 
 def route(ir: CircuitIR) -> RoutedPipeline:
@@ -214,14 +199,13 @@ def route(ir: CircuitIR) -> RoutedPipeline:
     stages: list[RoutedStage] = []
     for step in ir.steps:
         if step.gate is None:
-            op = _STEP_OPS[step.directive]
-            description = f"{step.directive} {step.wires[0]}"
+            key, description = step.directive, f"{step.directive} {step.wires[0]}"
         else:
-            op = LIFTED["C" * (len(step.wires) - 1) + step.gate]
+            key = "C" * (len(step.wires) - 1) + step.gate
             description = f"apply {step.gate} on {','.join(step.wires)}"
         if step.directive == "discard":
             live.remove(step.wires[0])
-        stages.append(RoutedStage(description, step.wires, op))
+        stages.append(RoutedStage(description, step.wires, LIFTED[key]))
     return RoutedPipeline(ir.wires, tuple(live), tuple(stages))
 
 

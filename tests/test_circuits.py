@@ -6,12 +6,15 @@ plain numpy kron/index arithmetic and multiplied out, then compared against
 both library constructions.
 """
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
+import qarrow
 import qarrow.circuits
 import qarrow.superop
-from qarrow.basis import Basis, bool_basis, product
+from qarrow.basis import Basis, BasisMismatchError, bool_basis, product
 from qarrow.circuits import (
     CATALOG,
     LIFTED,
@@ -19,6 +22,7 @@ from qarrow.circuits import (
     bob,
     copy,
     prepare_teleport_input,
+    proc,
     teleport,
     toffoli_lin,
     toffoli_super,
@@ -28,6 +32,7 @@ from qarrow.density import DensityMatrix, diagnostics, max_abs_diff, pure_densit
 from qarrow.laws import SeededGenerator
 from qarrow.linear import adjoint, controlled, from_rows, fun2lin, gate
 from qarrow.superop import arr, compose, extensional_equal, lin2super, trace_left
+from qarrow.textcircuit import parse_circuit, route
 from qarrow.vector import StateVector, bind, named_state, unit
 
 B = bool_basis()
@@ -265,9 +270,6 @@ def test_catalog_entries_run_and_match_their_expectations():
         assert max_abs_diff(out, entry.expected_output()) < 1e-9
 
 
-# The parts that circuits share: every lifted gate and the fixed leaves.
-SHARED = {**LIFTED, "measure": qarrow.circuits._MEASURE2,
-          "drop_b2": qarrow.circuits._DROP_B2, "drop_b2_b": qarrow.circuits._DROP_B2_B}
 BUILDERS = [entry.build for entry in CATALOG.values()] + [alice, bob, copy, weaken]
 
 
@@ -277,14 +279,15 @@ def test_every_call_wires_a_fresh_circuit():
 
 
 def test_building_every_circuit_twice_leaves_the_shared_leaves_unchanged():
-    before = {k: (s.name, s.matrix.tobytes()) for k, s in SHARED.items()}
+    # the parts that circuits share: the one step table of lifted gates, measure and discard
+    before = {k: (s.name, s.matrix.tobytes()) for k, s in LIFTED.items()}
     for _ in range(2):
         for build in BUILDERS:
             built = build()
             built.matrix
             n = built.input_basis.size
             built.apply(DensityMatrix(built.input_basis, np.eye(n) / n))
-    assert {k: (s.name, s.matrix.tobytes()) for k, s in SHARED.items()} == before
+    assert {k: (s.name, s.matrix.tobytes()) for k, s in LIFTED.items()} == before
 
 
 def test_each_circuit_names_its_own_top_level_term():
@@ -294,8 +297,15 @@ def test_each_circuit_names_its_own_top_level_term():
         teleport().name = "renamed"
 
 
+def _routed_teleport():
+    text = (resources.files(qarrow) / "data" / "teleport.qc").read_text(encoding="utf-8")
+    return route(parse_circuit(text)).pipeline
+
+
 def test_a_second_teleport_build_only_wires_shared_parts(monkeypatch):
-    teleport()
+    builders = [teleport, toffoli_super, alice, bob, _routed_teleport]
+    for build in builders:
+        build()
     calls = []
 
     def counting(name, fn):
@@ -308,8 +318,35 @@ def test_a_second_teleport_build_only_wires_shared_parts(monkeypatch):
     for module in (qarrow.circuits, qarrow.superop):
         for name in ("lin2super", "measure", "trace_left"):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    teleport()
-    assert calls == []
+    for build in builders:
+        build()
+        assert calls == [], build.__name__
+
+
+def test_proc_places_each_line_on_its_wires_and_keeps_the_outputs_in_order():
+    swap_then_x = proc(("a", "b"), [("X", ("b",))], ("b", "a"))
+    out = swap_then_x.apply(pure_density(unit(BB, (False, True))))
+    assert max_abs_diff(out, pure_density(unit(BB, (False, False)))) == 0.0
+    kept = proc(("a", "b"), [("measure", ("a",)), ("discard", ("a",))], ("b",))
+    assert kept.output_basis == B
+    assert extensional_equal(kept, trace_left(BB), 1e-15).equal  # measuring before a discard changes nothing
+
+
+@pytest.mark.parametrize("lines, outputs, wire", [
+    ([("H", ("a",))], ("a",), "'b'"),  # leaving a live wire out would be weaken
+    ([("discard", ("b",))], ("a", "b"), "'b'"),
+    ([("H", ("a",))], ("a", "a", "b"), "'a'"),
+    ([("H", ("c",))], ("a", "b"), "'c'"),
+    ([("H", ("a",))], ("a", "c"), "'c'"),
+], ids=["live-left-out", "discarded-output", "output-twice", "unknown-line-wire", "unknown-output"])
+def test_proc_refuses_a_wire_that_is_unknown_or_not_output_once_while_live(lines, outputs, wire):
+    with pytest.raises(ValueError, match=wire):
+        proc(("a", "b"), lines, outputs)
+
+
+def test_proc_refuses_a_line_on_a_discarded_wire():
+    with pytest.raises(BasisMismatchError):
+        proc(("a", "b"), [("discard", ("a",)), ("H", ("a",))], ("b",))
 
 
 def test_prepare_teleport_input_matches_the_kron_oracle():
