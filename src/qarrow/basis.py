@@ -32,7 +32,7 @@ class Basis:
     structure.
     """
 
-    __slots__ = ("_labels", "_index", "_factors")
+    __slots__ = ("_labels", "_index", "_factors", "_hash")
 
     def __init__(self, labels: Iterable[Label], factors: Sequence["Basis"] | None = None):
         labels = tuple(labels)
@@ -46,6 +46,7 @@ class Basis:
         self._labels = labels
         self._index = index
         self._factors = tuple(factors) if factors is not None else None
+        self._hash = hash(labels)
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -87,10 +88,13 @@ class Basis:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Basis):
             return NotImplemented
-        return self._labels == other._labels
+        return self is other or self._labels == other._labels
 
     def __hash__(self) -> int:
-        return hash(self._labels)
+        return self._hash
+
+    def __reduce__(self):  # a string label hashes differently in another process
+        return Basis, (self._labels, self._factors)
 
     def __repr__(self) -> str:
         shown = ",".join(label_text(l) for l in self._labels[:4])

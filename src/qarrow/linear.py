@@ -8,6 +8,7 @@ diagrammatic order (first argument acts first).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
 from typing import Callable
 
@@ -74,15 +75,22 @@ def fun2lin(fn: Callable[[Label], Label], input_basis: Basis, output_basis: Basi
     return LinearOp._owning(input_basis, output_basis, m, name=name or "fun2lin")
 
 
-def placement(f, basis: Basis, positions) -> tuple[tuple, tuple, tuple, Basis]:
-    """Check that ``f``, an operator or a channel, can act ``on`` the factors of ``basis`` at
-    ``positions``; gives the positions, the factor sizes in and out, and the output basis."""
-    factors, positions = basis.factors or (basis,), tuple(positions)
+def placement(input_basis: Basis, output_basis: Basis, basis: Basis, positions) -> tuple:
+    """Check that a map from ``input_basis`` to ``output_basis`` can act ``on`` the factors of
+    ``basis`` at ``positions``; gives the positions, the factor sizes in and out, and the output
+    basis.  Cached: equal bases place alike, but a product is told from a plain basis."""
+    return _placement(input_basis, output_basis, basis, tuple(positions),
+                      basis.factors is None, output_basis.factors is None)
+
+
+@lru_cache(maxsize=256)
+def _placement(input_basis: Basis, output_basis: Basis, basis: Basis, positions: tuple, *_):
+    factors = basis.factors or (basis,)
     if not positions or len(set(positions) & set(range(len(factors)))) < len(positions):
         raise ValueError(f"positions {positions!r} must be distinct factors of {len(factors)}")
-    if f.input_basis != product([factors[p] for p in positions]):
-        raise BasisMismatchError(f"a map over {f.input_basis!r} cannot act on factors {positions!r}")
-    placed = f.output_basis.factors or () if len(positions) > 1 else (f.output_basis,)
+    if input_basis != product([factors[p] for p in positions]):
+        raise BasisMismatchError(f"a map over {input_basis!r} cannot act on factors {positions!r}")
+    placed = output_basis.factors or () if len(positions) > 1 else (output_basis,)
     if len(placed) != len(positions):
         raise ValueError(f"a map on {len(positions)} factors must output as many, not {len(placed)}")
     outs = [placed[positions.index(i)] if i in positions else g for i, g in enumerate(factors)]
@@ -103,7 +111,7 @@ def place(m: np.ndarray, ins: tuple, outs: tuple, positions) -> np.ndarray:
 def on(f: LinearOp, basis: Basis, positions, name: str | None = None) -> LinearOp:
     """``f`` on the factors of the product ``basis`` at ``positions``, in that order, carrying
     the others: the vector side of the paper's ``outs <- f -< ins``."""
-    positions, ins, outs, out_basis = placement(f, basis, positions)
+    positions, ins, outs, out_basis = placement(f.input_basis, f.output_basis, basis, positions)
     return LinearOp._owning(basis, out_basis, place(f.matrix, ins, outs, positions), name=name)
 
 

@@ -20,12 +20,15 @@ Folds are deterministic, so identical inputs give bit-identical matrices:
 zeros with one assignment, ``lin2super`` is one broadcast product, and
 ``>>`` is never a product of two channel matrices: the fold builds a
 chain's first channel and runs each later term on that matrix's blocks, as
-:func:`apply` runs it on a density.
+:func:`apply` runs it on a density.  ``on`` places a step through a bounded
+cache; :func:`contract` caches its transposes, and keeps OpenBLAS on one
+thread for a mid-sized product by splitting it into row blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Callable
 
@@ -113,10 +116,24 @@ def contract(t: np.ndarray, matrix: np.ndarray, axes, out_shape: tuple[int, ...]
     Its output side, shaped ``out_shape``, takes their places, and every other
     axis passes through: ``on`` read locally, for a leaf or several factors.
     """
-    order = [a for a in range(t.ndim) if a not in axes] + list(axes)
-    kept = [t.shape[a] for a in order[:-len(axes)]]
-    out = t.transpose(order).reshape(-1, matrix.shape[0]) @ matrix
-    return out.reshape(kept + list(out_shape)).transpose([order.index(a) for a in range(t.ndim)])
+    order, inverse = _axis_plan(t.ndim, tuple(axes))
+    rows = t.transpose(order).reshape(-1, len(matrix))
+    m, width, out = len(rows), matrix.size, np.empty((len(rows), matrix.shape[1]), dtype=complex)
+    # OpenBLAS puts m*k*n >= 65,536 on two threads, whose wake costs a flat 8 ms on a 2-core host;
+    # there, below 2^22, row blocks of about 32,768 (one thread each) cost less (OpenBLAS 0.3.31).
+    # numpy runs a one-row block as a gemv, which rounds apart, so a last row joins the one before.
+    blocked = 65536 <= m * width < 2 ** 22 and width <= 16384
+    starts = range(0, m - 1, 32768 // width) if blocked else (0,)
+    for i, j in zip(starts, [*starts[1:], m]):
+        np.matmul(rows[i:j], matrix, out=out[i:j])
+    kept = [t.shape[a] for a in order[:t.ndim - len(axes)]]
+    return out.reshape(kept + list(out_shape)).transpose(inverse)
+
+
+@lru_cache(maxsize=64)
+def _axis_plan(ndim: int, axes: tuple) -> tuple[tuple, tuple]:  # axes last, in order, and back
+    order = tuple(a for a in range(ndim) if a not in axes) + axes
+    return order, tuple(map(order.index, range(ndim)))
 
 
 def _run(s: Superoperator, t: np.ndarray, r: int, c: int) -> np.ndarray:
@@ -238,26 +255,20 @@ def on(s: Superoperator, basis: Basis, positions, name: str | None = None) -> Su
     """``s`` on the factors of the product ``basis`` at ``positions``, in that order, carrying
     the others: the paper's ``outs <- s -< ins`` (Paterson's notation, which desugars to
     ``arr``, ``first`` and ``>>>``).  On several factors, ``s`` outputs as many, in their places."""
-    positions, ins, outs, out_basis = placement(s, basis, positions)
+    positions, ins, outs, out_basis = placement(s.input_basis, s.output_basis, basis, positions)
     return _node(basis, out_basis, ("on", s, positions, ins, outs), name)
 
 
 def first(s: Superoperator, carried: Basis) -> Superoperator:
     """Act on the left pair component, carrying the right one unchanged:
     ``on`` at position 0 of the pair."""
-    n_d = carried.size
-    return _node(product([s.input_basis, carried]), product([s.output_basis, carried]),
-                 ("on", s, (0,), (s.input_basis.size, n_d), (s.output_basis.size, n_d)),
-                 f"first({s.name})" if s.name else "first")
+    return on(s, product([s.input_basis, carried]), (0,), f"first({s.name})" if s.name else "first")
 
 
 def second(s: Superoperator, carried: Basis) -> Superoperator:
     """Act on the right pair component, carrying the left one unchanged: Hughes's
     ``arr swap >>> first s >>> arr swap``, whose swaps only relabel, is ``on`` at position 1."""
-    n_d = carried.size
-    return _node(product([carried, s.input_basis]), product([carried, s.output_basis]),
-                 ("on", s, (1,), (n_d, s.input_basis.size), (n_d, s.output_basis.size)),
-                 f"second({s.name})" if s.name else "second")
+    return on(s, product([carried, s.input_basis]), (1,), f"second({s.name})" if s.name else "second")
 
 
 def parallel(s: Superoperator, t: Superoperator) -> Superoperator:

@@ -226,16 +226,26 @@ def test_repr_names_the_operator_or_its_shape():
 
 def test_on_refuses_a_wrong_factor_a_bad_position_and_a_mismatched_output():
     h, cx = gate("hadamard"), controlled(gate("qnot"))
-    with pytest.raises(BasisMismatchError, match="cannot act on factors"):
-        linear.on(h, product([RGB, B]), (0,))
-    with pytest.raises(BasisMismatchError, match="cannot act on factors"):
-        linear.on(cx, B3, (0,))  # a two-wire operator on one wire's factor
-    for f, positions in [(h, (3,)), (h, (-1,)), (h, ()), (cx, (1, 1))]:
-        with pytest.raises(ValueError, match="must be distinct factors of 3"):
-            linear.on(f, B3, positions)
-    for f in [fun2lin(lambda t: t[1], BB, B), fun2lin(lambda t: (t[0], t[1], t[1]), BB, B3)]:
-        with pytest.raises(ValueError, match="must output as many"):
-            linear.on(f, B3, (2, 0))
+    for _ in range(2):  # a first call and a repeat both refuse: refusals are never cached
+        with pytest.raises(BasisMismatchError, match="cannot act on factors"):
+            linear.on(h, product([RGB, B]), (0,))
+        with pytest.raises(BasisMismatchError, match="cannot act on factors"):
+            linear.on(cx, B3, (0,))  # a two-wire operator on one wire's factor
+        for f, positions in [(h, (3,)), (h, (-1,)), (h, ()), (cx, (1, 1))]:
+            with pytest.raises(ValueError, match="must be distinct factors of 3"):
+                linear.on(f, B3, positions)
+        for f in [fun2lin(lambda t: t[1], BB, B), fun2lin(lambda t: (t[0], t[1], t[1]), BB, B3)]:
+            with pytest.raises(ValueError, match="must output as many"):
+                linear.on(f, B3, (2, 0))
+
+
+def test_on_places_equal_but_distinct_bases_alike():
+    cx = controlled(gate("qnot"))
+    twin = Basis(B3.labels, [Basis(B.labels) for _ in range(3)])  # equal to B3, not B3
+    placed = [linear.on(cx, basis, (2, 0)) for basis in (B3, twin, twin, B3)]
+    for f in placed:
+        assert f.input_basis == f.output_basis == B3
+        assert np.array_equal(f.matrix, placed[0].matrix)
 
 
 def pack(labels):

@@ -561,16 +561,88 @@ def test_first_scales_past_the_dense_wall():
 
 def test_on_refuses_a_wrong_factor_a_bad_position_and_a_mismatched_output():
     h, cx = lin2super(gate("hadamard")), lin2super(controlled(gate("qnot")))
-    with pytest.raises(BasisMismatchError, match="cannot act on factors"):
-        on(h, product([RGB, B]), (0,))
-    with pytest.raises(BasisMismatchError, match="cannot act on factors"):
-        on(cx, B3, (0,))  # a two-wire channel on one wire's factor
-    for s, positions in [(h, (3,)), (h, (-1,)), (h, ()), (cx, (1, 1))]:
-        with pytest.raises(ValueError, match="must be distinct factors of 3"):
-            on(s, B3, positions)
-    for s in [cx >> trace_left(BB), arr(lambda t: (t[0], t[1], t[1]), BB, B3)]:
-        with pytest.raises(ValueError, match="must output as many"):
-            on(s, B3, (2, 0))
+    for _ in range(2):  # a first call and a repeat both refuse: refusals are never cached
+        with pytest.raises(BasisMismatchError, match="cannot act on factors"):
+            on(h, product([RGB, B]), (0,))
+        with pytest.raises(BasisMismatchError, match="cannot act on factors"):
+            on(cx, B3, (0,))  # a two-wire channel on one wire's factor
+        for s, positions in [(h, (3,)), (h, (-1,)), (h, ()), (cx, (1, 1))]:
+            with pytest.raises(ValueError, match="must be distinct factors of 3"):
+                on(s, B3, positions)
+        for s in [cx >> trace_left(BB), arr(lambda t: (t[0], t[1], t[1]), BB, B3)]:
+            with pytest.raises(ValueError, match="must output as many"):
+                on(s, B3, (2, 0))
+
+
+def test_equal_but_distinct_bases_place_alike():
+    cx = lin2super(controlled(gate("qnot")))
+    twin = Basis(B3.labels, [Basis(B.labels) for _ in range(3)])  # equal to B3, not B3
+    assert twin == B3 and twin is not B3
+    d = random_matrix_density(5, B3)
+    placed = [on(cx, basis, (2, 0)) for basis in (B3, twin, twin, B3)]
+    for s in placed:
+        assert s._term[2:] == ((2, 0), (2, 2, 2), (2, 2, 2)) and s.output_basis == B3
+        assert s.apply(d).matrix.tobytes() == placed[0].apply(d).matrix.tobytes()
+        assert np.array_equal(s.matrix, placed[0].matrix)
+
+
+def test_a_plain_basis_equal_to_a_product_is_not_placed_as_one():
+    # Basis equality reads labels only, so the placement cache must tell the two apart
+    h, plain = lin2super(gate("hadamard")), Basis(BB.labels)
+    assert plain == BB
+    assert on(h, BB, (1,)).output_basis == BB
+    with pytest.raises(ValueError, match="must be distinct factors of 1"):
+        on(h, plain, (1,))
+    flat_out = arr(lambda t: t, BB, plain)
+    assert on(arr(lambda t: t, BB, BB), B3, (2, 0)).output_basis == B3
+    with pytest.raises(ValueError, match="must output as many"):
+        on(flat_out, B3, (2, 0))
+
+
+def test_the_placement_and_axis_plan_caches_are_bounded():
+    from qarrow import linear
+    assert 0 < linear._placement.cache_info().maxsize <= 1024
+    assert 0 < superop._axis_plan.cache_info().maxsize <= 1024
+
+
+def single_product_contract(t, matrix, axes, out_shape):
+    """``superop.contract`` as one ``@`` at every size."""
+    order = [a for a in range(t.ndim) if a not in axes] + list(axes)
+    out = t.transpose(order).reshape(-1, matrix.shape[0]) @ matrix
+    kept = [t.shape[a] for a in order[:t.ndim - len(axes)]]
+    return out.reshape(kept + list(out_shape)).transpose([order.index(a) for a in range(t.ndim)])
+
+
+@st.composite
+def contractions(draw):
+    """A tensor shape of rank 2-7, 1-3 of its axes in any order, and their output sizes;
+    in half the draws one kept axis grows until the product is done in row blocks."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=2, max_size=7))
+    axes = tuple(draw(st.permutations(range(len(shape))))[:draw(st.integers(1, min(3, len(shape) - 1)))])
+    out_shape = tuple(draw(st.lists(st.integers(1, 4), min_size=len(axes), max_size=len(axes))))
+    if draw(st.booleans()):
+        kept = next(a for a in range(len(shape)) if a not in axes)
+        work = np.prod(shape) * np.prod(out_shape)  # m * k * n of the one product
+        shape[kept] *= -(-65536 // work) + draw(st.integers(0, 3))
+    return tuple(shape), axes, out_shape, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@given(contractions())
+@example(((17, 241, 4), (2,), (4,), 0))  # 4097 rows in blocks of 2048: a last block of one row
+@example(((3, 3, 3, 3, 4, 4, 2), (6, 4, 5), (4, 4, 4), 1))  # 81 rows in blocks of 16, and one
+def test_contract_matches_einsum_and_one_product(case):
+    shape, axes, out_shape, seed = case
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ins = [shape[a] for a in axes]
+    m = rng.normal(size=(np.prod(ins), np.prod(out_shape))) * (1 + 1j)
+    got = superop.contract(t, m, axes, out_shape)
+    new = list(range(len(shape), len(shape) + len(axes)))
+    result = [new[axes.index(a)] if a in axes else a for a in range(len(shape))]
+    want = np.einsum(t, list(range(len(shape))), m.reshape(ins + list(out_shape)),
+                     list(axes) + new, result)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(got, single_product_contract(t, m, axes, out_shape))
 
 
 def test_a_chain_of_ons_scales_past_the_dense_wall():
