@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qarrow import superop
+from qarrow import linear, superop
 from qarrow.basis import Basis, BasisMismatchError, bool_basis, product
 from qarrow.circuits import copy, prepare_teleport_input, teleport, toffoli_super
 from qarrow.density import DensityMatrix, max_abs_diff, pure_density, zero_density
@@ -600,7 +600,6 @@ def test_a_plain_basis_equal_to_a_product_is_not_placed_as_one():
 
 
 def test_the_placement_and_axis_plan_caches_are_bounded():
-    from qarrow import linear
     assert 0 < linear._placement.cache_info().maxsize <= 1024
     assert 0 < superop._axis_plan.cache_info().maxsize <= 1024
 
