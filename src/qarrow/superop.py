@@ -21,8 +21,7 @@ zeros with one assignment, ``lin2super`` is one broadcast product, and
 ``>>`` is never a product of two channel matrices: the fold builds a
 chain's first channel and runs each later term on that matrix's blocks, as
 :func:`apply` runs it on a density.  ``on`` places a step through a bounded
-cache; :func:`contract` caches its transposes, and keeps OpenBLAS on one
-thread for a mid-sized product by splitting it into row blocks.
+cache, and :func:`contract` reuses a bounded cache of its transposes.
 """
 
 from __future__ import annotations
@@ -117,16 +116,8 @@ def contract(t: np.ndarray, matrix: np.ndarray, axes, out_shape: tuple[int, ...]
     axis passes through: ``on`` read locally, for a leaf or several factors.
     """
     order, inverse = _axis_plan(t.ndim, tuple(axes))
-    rows = t.transpose(order).reshape(-1, len(matrix))
-    m, width, out = len(rows), matrix.size, np.empty((len(rows), matrix.shape[1]), dtype=complex)
-    # OpenBLAS puts m*k*n >= 65,536 on two threads, whose wake costs a flat 8 ms on a 2-core host;
-    # there, below 2^22, row blocks of about 32,768 (one thread each) cost less (OpenBLAS 0.3.31).
-    # numpy runs a one-row block as a gemv, which rounds apart, so a last row joins the one before.
-    blocked = 65536 <= m * width < 2 ** 22 and width <= 16384
-    starts = range(0, m - 1, 32768 // width) if blocked else (0,)
-    for i, j in zip(starts, [*starts[1:], m]):
-        np.matmul(rows[i:j], matrix, out=out[i:j])
-    kept = [t.shape[a] for a in order[:t.ndim - len(axes)]]
+    kept = [t.shape[a] for a in order[:-len(axes)]]
+    out = t.transpose(order).reshape(-1, matrix.shape[0]) @ matrix
     return out.reshape(kept + list(out_shape)).transpose(inverse)
 
 

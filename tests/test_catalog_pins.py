@@ -5,9 +5,8 @@ circuits are written must leave every bit of them as it was; a deliberate
 change of the arithmetic has to update these digests and say why.  The
 routed ``toffoli.qc`` and ``teleport.qc`` fold to the same bits as the
 catalog's ``toffoli_super`` and ``teleport``.  The routed ``apply`` outputs
-of GHZ-6, GHZ-8 and a random 6-wire circuit are pinned too: their
-contractions are large enough for ``superop.contract`` to split its product
-into row blocks, which must round as the one product does.
+of GHZ-6, GHZ-8 and a random 6-wire circuit are pinned too, so that a
+change to how ``superop.contract`` runs its products keeps their bits.
 """
 
 import hashlib
@@ -32,7 +31,6 @@ ROUTED = {
     "toffoli.qc": PINNED["toffoli_super"],
     "teleport.qc": PINNED["teleport"],
 }
-
 
 
 def _ghz(k: int) -> str:

@@ -604,32 +604,18 @@ def test_the_placement_and_axis_plan_caches_are_bounded():
     assert 0 < superop._axis_plan.cache_info().maxsize <= 1024
 
 
-def single_product_contract(t, matrix, axes, out_shape):
-    """``superop.contract`` as one ``@`` at every size."""
-    order = [a for a in range(t.ndim) if a not in axes] + list(axes)
-    out = t.transpose(order).reshape(-1, matrix.shape[0]) @ matrix
-    kept = [t.shape[a] for a in order[:t.ndim - len(axes)]]
-    return out.reshape(kept + list(out_shape)).transpose([order.index(a) for a in range(t.ndim)])
-
-
 @st.composite
 def contractions(draw):
-    """A tensor shape of rank 2-7, 1-3 of its axes in any order, and their output sizes;
-    in half the draws one kept axis grows until the product is done in row blocks."""
+    """A tensor shape of rank 2-7, 1-3 of its axes in any order, and their output sizes."""
     shape = draw(st.lists(st.integers(1, 4), min_size=2, max_size=7))
     axes = tuple(draw(st.permutations(range(len(shape))))[:draw(st.integers(1, min(3, len(shape) - 1)))])
     out_shape = tuple(draw(st.lists(st.integers(1, 4), min_size=len(axes), max_size=len(axes))))
-    if draw(st.booleans()):
-        kept = next(a for a in range(len(shape)) if a not in axes)
-        work = np.prod(shape) * np.prod(out_shape)  # m * k * n of the one product
-        shape[kept] *= -(-65536 // work) + draw(st.integers(0, 3))
     return tuple(shape), axes, out_shape, draw(st.integers(0, 2 ** 32 - 1))
 
 
 @given(contractions())
-@example(((17, 241, 4), (2,), (4,), 0))  # 4097 rows in blocks of 2048: a last block of one row
-@example(((3, 3, 3, 3, 4, 4, 2), (6, 4, 5), (4, 4, 4), 1))  # 81 rows in blocks of 16, and one
-def test_contract_matches_einsum_and_one_product(case):
+@example(((3, 3, 3, 3, 4, 4, 2), (6, 4, 5), (4, 4, 4), 1))
+def test_contract_matches_einsum(case):
     shape, axes, out_shape, seed = case
     rng = np.random.default_rng(seed)
     t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -641,7 +627,6 @@ def test_contract_matches_einsum_and_one_product(case):
     want = np.einsum(t, list(range(len(shape))), m.reshape(ins + list(out_shape)),
                      list(axes) + new, result)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(got, single_product_contract(t, m, axes, out_shape))
 
 
 def test_a_chain_of_ons_scales_past_the_dense_wall():
