@@ -6,13 +6,13 @@ tuples in row-major order (leftmost factor varies slowest), which fixes the
 global indexing convention shared by vectors, operators, densities and
 channels.  Bases are immutable and freely shareable across threads, so
 :func:`product` interns what it builds: the same factor objects give back
-the same product object, from a bounded cache keyed on their identities.
+the same product object, from a bounded ``lru_cache`` keyed on their identities.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
+from functools import lru_cache
 from typing import Any, Iterable, Iterator, Sequence
 
 Label = Any
@@ -111,13 +111,6 @@ def bool_basis() -> Basis:
     return _BOOL
 
 
-# Interned products, keyed by their factors' ids.  A product holds its
-# factors, so no id in a key is reused while the key is cached.
-_PRODUCTS: dict[tuple[int, ...], Basis] = {}
-_PRODUCTS_MAX = 256
-_PRODUCTS_LOCK = threading.Lock()
-
-
 def product(parts: Sequence[Basis]) -> Basis:
     """Product basis enumerating positional tuples in row-major order.
 
@@ -125,23 +118,18 @@ def product(parts: Sequence[Basis]) -> Basis:
     so products of products carry nested tuples; row-major ordering makes a
     flattened relabelling a pure re-indexing (same enumeration order).
     A single-element list returns that basis unchanged.  The same factor
-    objects return the same product while it is cached; the oldest of
-    ``_PRODUCTS_MAX`` cached products is dropped first.
+    objects return the same product while it is cached; the least recently
+    used of 256 cached products is dropped first.
     """
-    parts = list(parts)
+    parts = tuple(parts)
     if not parts:
         raise ValueError("product of an empty list of bases is undefined")
-    if len(parts) == 1:
-        return parts[0]
-    key = tuple(map(id, parts))
-    hit = _PRODUCTS.get(key)
-    if hit is not None:
-        return hit
-    built = Basis(tuple(itertools.product(*(p.labels for p in parts))), factors=parts)
-    with _PRODUCTS_LOCK:
-        if key not in _PRODUCTS and len(_PRODUCTS) >= _PRODUCTS_MAX:
-            del _PRODUCTS[next(iter(_PRODUCTS))]
-        return _PRODUCTS.setdefault(key, built)
+    return parts[0] if len(parts) == 1 else _product(tuple(map(id, parts)), parts)
+
+
+@lru_cache(maxsize=256)
+def _product(_ids: tuple, parts: tuple) -> Basis:  # the key holds the parts, so no id in it is reused
+    return Basis(tuple(itertools.product(*(p.labels for p in parts))), factors=parts)
 
 
 def label_text(label: Label) -> str:

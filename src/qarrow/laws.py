@@ -84,10 +84,6 @@ class SeededGenerator:
         picks = self._rng.integers(output_basis.size, size=input_basis.size)
         return {x: output_basis.element_at(int(i)) for x, i in zip(input_basis.labels, picks)}
 
-    def mapping(self, input_basis: Basis, output_basis: Basis) -> tuple[Callable[[Label], Label], str]:
-        """Random total function between bases, with a printable table."""
-        return _tabled(self.table(input_basis, output_basis))
-
     def permutation(self, basis: Basis) -> tuple[Callable[[Label], Label], str]:
         order = self._rng.permutation(basis.size)
         return _tabled({basis.element_at(i): basis.element_at(int(j)) for i, j in enumerate(order)})

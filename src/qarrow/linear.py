@@ -78,13 +78,13 @@ def fun2lin(fn: Callable[[Label], Label], input_basis: Basis, output_basis: Basi
 def placement(input_basis: Basis, output_basis: Basis, basis: Basis, positions) -> tuple:
     """Check that a map from ``input_basis`` to ``output_basis`` can act ``on`` the factors of
     ``basis`` at ``positions``; gives the positions, the factor sizes in and out, and the output
-    basis.  Cached: equal bases place alike, but a product is told from a plain basis."""
-    return _placement(input_basis, output_basis, basis, tuple(positions),
-                      basis.factors is None, output_basis.factors is None)
+    basis.  Cached by the identities of the two bases whose factors it reads, so each basis
+    is placed by its own factors, whatever equal basis was placed before."""
+    return _placement(input_basis, output_basis, basis, tuple(positions), id(output_basis), id(basis))
 
 
 @lru_cache(maxsize=256)
-def _placement(input_basis: Basis, output_basis: Basis, basis: Basis, positions: tuple, *_):
+def _placement(input_basis: Basis, output_basis: Basis, basis: Basis, positions: tuple, *_ids):
     factors = basis.factors or (basis,)
     if not positions or len(set(positions) & set(range(len(factors)))) < len(positions):
         raise ValueError(f"positions {positions!r} must be distinct factors of {len(factors)}")

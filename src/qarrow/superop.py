@@ -325,18 +325,21 @@ class EqualityReport:
                 f"at block ({pin}) entry ({pout})")
 
 
-def max_difference(s: Superoperator, t: Superoperator) -> float:
+def _difference(s: Superoperator, t: Superoperator) -> np.ndarray:
+    """Entrywise |S - T| of the two dense matrices."""
     if s.input_basis != t.input_basis or s.output_basis != t.output_basis:
         raise BasisMismatchError("cannot compare channels with differing bases")
-    return float(abs(s.matrix - t.matrix).max())
+    return np.abs(s.matrix - t.matrix)
+
+
+def max_difference(s: Superoperator, t: Superoperator) -> float:
+    return float(_difference(s, t).max())
 
 
 def extensional_equal(s: Superoperator, t: Superoperator, tol: float) -> EqualityReport:
     """Blockwise comparison; by linearity this decides equality on all densities."""
     require_tolerance(tol)
-    if s.input_basis != t.input_basis or s.output_basis != t.output_basis:
-        raise BasisMismatchError("cannot compare channels with differing bases")
-    diff = np.abs(s.matrix - t.matrix)
+    diff = _difference(s, t)
     max_diff = float(np.max(diff))
     row, col = np.unravel_index(int(np.argmax(diff)), diff.shape)
     # row r of the matrix is the input pair divmod(r, |A|), and likewise for columns

@@ -1,5 +1,9 @@
+import os
+import pickle
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -180,19 +184,38 @@ def test_a_plain_basis_with_product_labels_keeps_its_own_factors():
 def test_the_product_cache_keeps_its_bound_and_rebuilds_an_evicted_product():
     parts = [Basis(("x", "y")), bool_basis()]
     first = product(parts)
-    for i in range(basis_module._PRODUCTS_MAX + 10):
+    cache = basis_module._product.cache_info
+    for i in range(cache().maxsize + 10):
         product([Basis((i,)), bool_basis()])
-        assert len(basis_module._PRODUCTS) <= basis_module._PRODUCTS_MAX
+        assert cache().currsize <= cache().maxsize
     again = product(parts)
     assert again is not first  # evicted, so built afresh
     assert again == first and again.factors == first.factors
     assert all(p is q for p, q in zip(again.factors, parts))
 
 
+def test_a_pickled_product_hashes_by_its_labels_under_another_hash_seed():
+    # a string label hashes differently in another process, so the stored hash must not travel
+    b = product([Basis(("up", "down")), bool_basis()])
+    child = ("import pickle, sys\n"
+             "from qarrow.basis import Basis\n"
+             "b = pickle.loads(sys.stdin.buffer.read())\n"
+             "print(hash(b) == hash(b.labels), {Basis(b.labels): 'found'}.get(b), b.factors[0] == Basis(('up', 'down')))\n")
+    src = Path(basis_module.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED="1" if os.environ.get("PYTHONHASHSEED") == "0" else "0",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child], input=pickle.dumps(b), env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.split() == [b"True", b"found", b"True"]
+
+
 def test_products_built_from_several_threads_are_all_correct():
     # more products than the cache holds, built over and over, so threads
-    # evict concurrently; without the lock, about half of the runs fail
-    factors = [Basis((i, -1 - i)) for i in range(basis_module._PRODUCTS_MAX + 44)]
+    # miss and evict concurrently: the cache must stay coherent, and a product
+    # two threads build at once must come out whole, over the factors given
+    cache = basis_module._product.cache_info
+    factors = [Basis((i, -1 - i)) for i in range(cache().maxsize + 44)]
     results: dict[int, list] = {t: [] for t in range(8)}
     errors = []
 
@@ -215,7 +238,7 @@ def test_products_built_from_several_threads_are_all_correct():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert not errors
-    assert len(basis_module._PRODUCTS) <= basis_module._PRODUCTS_MAX
+    assert cache().currsize <= cache().maxsize
     for f, *built in zip(factors, *results.values()):
         a, z = f.labels
         assert all(p.labels == ((a, False), (a, True), (z, False), (z, True)) for p in built)

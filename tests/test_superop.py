@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qarrow import linear, superop
+from qarrow import basis as basis_module, linear, superop
 from qarrow.basis import Basis, BasisMismatchError, bool_basis, product
 from qarrow.circuits import copy, prepare_teleport_input, teleport, toffoli_super
 from qarrow.density import DensityMatrix, max_abs_diff, pure_density, zero_density
@@ -599,7 +599,21 @@ def test_a_plain_basis_equal_to_a_product_is_not_placed_as_one():
         on(flat_out, B3, (2, 0))
 
 
+def test_a_basis_is_placed_by_its_own_factors_whatever_was_placed_before():
+    # placements are cached by the bases' identities: a plain basis equal to a product,
+    # placed first, must not stand in for that product's factor afterwards
+    c = Basis(("u", "v"))
+    pair = product([c, c])
+    plain = Basis(pair.labels)
+    on(identity_arr(c), product([plain, c]), (1,))
+    for place_on, f in ((on, identity_arr(c)), (linear.on, identity(c))):
+        out = place_on(f, product([pair, c]), (1,)).output_basis
+        assert out.factors[0] is pair
+        assert place_on(f, out.factors[0], (1,)).output_basis == pair
+
+
 def test_the_placement_and_axis_plan_caches_are_bounded():
+    assert 0 < basis_module._product.cache_info().maxsize <= 1024
     assert 0 < linear._placement.cache_info().maxsize <= 1024
     assert 0 < superop._axis_plan.cache_info().maxsize <= 1024
 
