@@ -84,23 +84,18 @@ class SeededGenerator:
         picks = self._rng.integers(output_basis.size, size=input_basis.size)
         return {x: output_basis.element_at(int(i)) for x, i in zip(input_basis.labels, picks)}
 
-    def permutation(self, basis: Basis) -> tuple[Callable[[Label], Label], str]:
-        order = self._rng.permutation(basis.size)
-        return _tabled({basis.element_at(i): basis.element_at(int(j)) for i, j in enumerate(order)})
-
     def pick(self, items: Sequence):
         return items[int(self._rng.integers(len(items)))]
 
 
-def _tabled(table: dict) -> tuple[Callable[[Label], Label], str]:
-    """The function that looks labels up in ``table``, and the table as text."""
-    text = ", ".join(f"{label_text(k)}->{label_text(v)}" for k, v in table.items())
-    return table.__getitem__, "{" + text + "}"
+def _tabled(table: dict) -> str:
+    """A drawn table as text: ``{x->table[x], ...}``."""
+    return "{" + ", ".join(f"{label_text(k)}->{label_text(v)}" for k, v in table.items()) + "}"
 
 
 def _render(template: str, *values) -> str:
     """A witness: ``template`` filled with ``values``, each drawn table (a dict) as its text."""
-    return template.format(*(_tabled(v)[1] if isinstance(v, dict) else v for v in values))
+    return template.format(*(_tabled(v) if isinstance(v, dict) else v for v in values))
 
 
 def default_bases() -> list[Basis]:

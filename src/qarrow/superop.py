@@ -289,13 +289,10 @@ def trace_left(pair_basis: Basis) -> Superoperator:
     factors = pair_basis.factors
     if factors is None or len(factors) != 2:
         raise ValueError("trace_left needs a binary product basis")
-    left, right = factors
-    n_a, n_b = left.size, right.size
-    n_in = n_a * n_b
-    a, b1, b2 = np.arange(n_a)[:, None, None], np.arange(n_b)[:, None], np.arange(n_b)
-    m = np.zeros((n_in * n_in, n_b * n_b), dtype=complex)
-    m.reshape(n_a, n_b, n_a, n_b, n_b, n_b)[a, b1, a, b2, b1, b2] = 1.0
-    return _node(pair_basis, right, ("leaf",), f"trace_left({n_a}x{n_b})", m)
+    n_a, n_b = factors[0].size, factors[1].size
+    # the (a1, a2) -> (1, 1) trace placed on the density's pair axes, b1 and b2 carried
+    m = place(np.eye(n_a).reshape(-1, 1), (n_a, n_b) * 2, (1, n_b) * 2, (0, 2))
+    return _node(pair_basis, factors[1], ("leaf",), f"trace_left({n_a}x{n_b})", m)
 
 
 def measure(basis: Basis) -> Superoperator:
@@ -305,9 +302,8 @@ def measure(basis: Basis) -> Superoperator:
     diagonal input pairs contribute, which is exactly decoherence.
     """
     n = basis.size
-    a = np.arange(n)
     m = np.zeros((n * n, n ** 4), dtype=complex)
-    m.reshape(n, n, n, n, n, n)[a, a, a, a, a, a] = 1.0
+    np.einsum(m.reshape((n,) * 6), [0] * 6, [0])[...] = 1.0  # the all-equal diagonal
     return _node(basis, product([basis, basis]), ("leaf",), f"measure({n})", m)
 
 

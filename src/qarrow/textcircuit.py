@@ -11,19 +11,17 @@ comments:
     measure <wire>                leaves the classical outcome on the wire
     discard <wire>                partial-traces the wire away
 
-Routing compiles each step to one stage: the step's wires, in operand
-order, and its channel from :data:`~qarrow.circuits.LIFTED`, the one step
-table (a lifted gate or its controlled form, or the one-wire ``measure`` or
-``discard``).  The routed circuit is the :func:`~qarrow.circuits.proc`
-block of its stages, each acting ``on`` its own wires, the paper's ``outs
-<- f -< ins``; :func:`~qarrow.superop.apply` runs it on the density, so no
-permutation of the other wires is built, and its dense channel is folded
-only when ``.pipeline.matrix`` is read.
-
-Parsing yields a :class:`CircuitIR` of records in the paper's command form
-``outs <- f -< ins``: one :class:`Init` per ``init`` line, and one
-:class:`Step` per ``gate``, ``cgate``, ``measure`` or ``discard`` line,
-each holding its directive, its operand wires in order and its line number.
+Parsing yields a :class:`CircuitIR` in the paper's ``proc`` form: one
+:class:`Init` per ``init`` line, one :class:`Step` per ``gate``, ``cgate``,
+``measure`` or ``discard`` line (the command ``outs <- op -< ins``: its
+directive, operand wires in order, line number, and ``op``, its channel from
+:data:`~qarrow.circuits.LIFTED`, the one step table), and the wires live at
+the end (``returnA -< outputs``).  Routing adds nothing: the routed stages
+are the parsed steps, each keeping its source line, and the routed circuit
+is the :func:`~qarrow.circuits.proc` block of those steps, each acting
+``on`` its own wires; :func:`~qarrow.superop.apply` runs it on the density,
+so no permutation of the other wires is built, and its dense channel is
+folded only when ``.pipeline.matrix`` is read.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .basis import Basis, BasisMismatchError, bool_basis, product
+from .basis import BasisMismatchError, bool_basis, product
 from .circuits import GATES, LIFTED, proc
 from .density import DensityMatrix, pure_density
 from .superop import Superoperator, apply
@@ -57,12 +55,18 @@ _STEP_FORMS = {"gate": "gate <G> <wire>", "cgate": "cgate <G> <ctrl> <tgt>",
 
 @dataclass(frozen=True)
 class Step:
-    """One ``gate``, ``cgate``, ``measure`` or ``discard`` line: its operand wires in order."""
+    """One ``gate``, ``cgate``, ``measure`` or ``discard`` line, and the stage it routes to:
+    ``op`` acts on ``wires``, in operand order, and on nothing else."""
 
     directive: str
     wires: tuple[str, ...]
     line: int
     gate: str | None = None
+
+    @property
+    def op(self) -> Superoperator:
+        """The step's channel: the gate controlled once per extra wire, or ``measure`` or ``discard``."""
+        return LIFTED[self.directive if self.gate is None else "C" * (len(self.wires) - 1) + self.gate]
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,7 @@ class CircuitIR:
     wires: tuple[str, ...]
     inits: tuple
     steps: tuple
+    outputs: tuple[str, ...]  # the wires still live after the steps, in wire order
 
 
 def parse_circuit(text: str) -> CircuitIR:
@@ -158,27 +163,18 @@ def parse_circuit(text: str) -> CircuitIR:
 
     if wires is None:
         raise CircuitError(1, "missing 'wires' directive")
-    return CircuitIR(wires, tuple(inits), tuple(steps))
-
-
-@dataclass(frozen=True)
-class RoutedStage:
-    """One circuit step: ``op`` acts on ``wires``, in operand order, and on nothing else."""
-
-    description: str
-    wires: tuple[str, ...]
-    op: Superoperator
+    return CircuitIR(wires, tuple(inits), tuple(steps), tuple(w for w in wires if w in live))
 
 
 @dataclass(frozen=True)
 class RoutedPipeline:
     input_wires: tuple[str, ...]
     output_wires: tuple[str, ...]
-    stages: tuple[RoutedStage, ...]
+    stages: tuple[Step, ...]
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Run the circuit on one density over the input wires."""
-        if rho.basis != _wire_basis(self.input_wires):
+        if rho.basis != self.pipeline.input_basis:
             raise BasisMismatchError(f"routed circuit expects a density over wires {self.input_wires}")
         return apply(self.pipeline, rho)
 
@@ -189,24 +185,9 @@ class RoutedPipeline:
                     self.output_wires)
 
 
-def _wire_basis(names) -> Basis:
-    return product([bool_basis() for _ in names])
-
-
 def route(ir: CircuitIR) -> RoutedPipeline:
-    """Compile validated IR to one stage per step, addressed by wire name."""
-    live = list(ir.wires)
-    stages: list[RoutedStage] = []
-    for step in ir.steps:
-        if step.gate is None:
-            key, description = step.directive, f"{step.directive} {step.wires[0]}"
-        else:
-            key = "C" * (len(step.wires) - 1) + step.gate
-            description = f"apply {step.gate} on {','.join(step.wires)}"
-        if step.directive == "discard":
-            live.remove(step.wires[0])
-        stages.append(RoutedStage(description, step.wires, LIFTED[key]))
-    return RoutedPipeline(ir.wires, tuple(live), tuple(stages))
+    """The ``proc`` block of validated IR: its steps are the stages, addressed by wire name."""
+    return RoutedPipeline(ir.wires, ir.outputs, ir.steps)
 
 
 def initial_density(ir: CircuitIR) -> DensityMatrix:
@@ -221,4 +202,4 @@ def initial_density(ir: CircuitIR) -> DensityMatrix:
     amps = reduce(np.multiply.outer, [a.reshape((2,) * len(ws)) for ws, a in chunks])
     axes = [concat_order.index(w) for w in ir.wires]
     amps = amps.transpose(axes).reshape(-1)
-    return pure_density(StateVector._owning(_wire_basis(ir.wires), amps))
+    return pure_density(StateVector._owning(product([bool_basis()] * len(ir.wires)), amps))

@@ -136,8 +136,8 @@ def test_gate_order_is_respected():
 def test_each_step_routes_to_one_stage_on_its_own_wires():
     ir = parse_circuit("wires a b c\ncgate X c a\nmeasure b\ndiscard c\ngate H a\n")
     routed = route(ir)
-    assert [s.description for s in routed.stages] == [
-        "apply X on c,a", "measure b", "discard c", "apply H on a"]
+    assert [(s.directive, s.line) for s in routed.stages] == [
+        ("cgate", 2), ("measure", 3), ("discard", 4), ("gate", 5)]
     assert [s.wires for s in routed.stages] == [("c", "a"), ("b",), ("c",), ("a",)]
     for stage in routed.stages:
         m = stage.op.matrix
@@ -145,6 +145,17 @@ def test_each_step_routes_to_one_stage_on_its_own_wires():
         assert not (m.shape[0] == m.shape[1] and np.array_equal(m, np.eye(m.shape[0])))
     assert np.array_equal(routed.stages[1].op.matrix, np.diag([1, 0, 0, 1]))
     assert routed.stages[2].op.output_basis.size == 1
+
+
+def test_routed_stages_are_the_parsed_steps_and_keep_their_source_lines():
+    ir = parse_circuit("wires a b c\n\n# a comment\ncgate X c a\nmeasure b  # keep b\n"
+                       "discard c\ngate H a\n")
+    routed = route(ir)
+    assert routed.stages is ir.steps
+    assert [(s.directive, s.line) for s in routed.stages] == [
+        ("cgate", 4), ("measure", 5), ("discard", 6), ("gate", 7)]
+    assert [s.op for s in routed.stages] == [LIFTED[k] for k in ("CX", "measure", "discard", "H")]
+    assert ir.outputs == routed.output_wires == ("a", "b")
 
 
 def test_ghz5_routes_to_five_stages():
@@ -443,5 +454,7 @@ def test_parse_circuit_raises_only_circuit_errors_on_token_streams(text):
         ir = parse_circuit(text)
     except CircuitError:
         return
-    # a stream that parses must also route
-    assert route(ir).output_wires
+    # a stream that parses must also route: proc refuses outputs that are not the live wires
+    routed = route(ir)
+    assert routed.output_wires == ir.outputs
+    assert routed.pipeline.output_basis.size == 2 ** len(ir.outputs)
