@@ -164,11 +164,7 @@ def _parse_label(text: str) -> tuple[Label, str]:
                 return tuple(parts), rest[1:]
             else:
                 raise ValueError(f"unbalanced tuple in label text {text!r}")
-    end = len(text)
-    for stop in ",)":
-        pos = text.find(stop)
-        if pos != -1:
-            end = min(end, pos)
+    end = min([i for i in (text.find(","), text.find(")")) if i >= 0] or [len(text)])
     atom, rest = text[:end], text[end:]
     if atom == "F":
         return False, rest

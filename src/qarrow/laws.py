@@ -4,11 +4,11 @@ The three monad equations and the nine arrow equations are checked
 numerically: each law becomes one :class:`LawReport` giving the number of
 quantifier instances tried, the largest residual seen, and a description of
 the worst instance.  Each law is one generator of ``(residual, witness)``
-instances with the two sides of its equation side by side, and a witness
-is turned into text only for the worst case: when its instance is the
-worst seen so far.  Quantification runs over a curated operator pool plus
-seeded random vectors, operators and classical functions, so a report is a
-deterministic function of (seed, pool, tolerance).
+instances with the two sides of its equation side by side; a witness is a
+closure that builds the text, called only for an instance that is the worst
+so far, while its generator is suspended there.  Quantification runs over a
+curated operator pool plus seeded random vectors, operators and classical
+functions, so a report is a deterministic function of (seed, pool, tolerance).
 
 Two deliberately broken implementations (:func:`skipping_bind` and
 :func:`first_without_dual`) are exported as mutation fixtures: feeding them
@@ -93,11 +93,6 @@ def _tabled(table: dict) -> str:
     return "{" + ", ".join(f"{label_text(k)}->{label_text(v)}" for k, v in table.items()) + "}"
 
 
-def _render(template: str, *values) -> str:
-    """A witness: ``template`` filled with ``values``, each drawn table (a dict) as its text."""
-    return template.format(*(_tabled(v) if isinstance(v, dict) else v for v in values))
-
-
 def default_bases() -> list[Basis]:
     b = bool_basis()
     return [b, product([b, b]), product([b, b, b])]
@@ -116,20 +111,20 @@ def default_pool() -> list[Superoperator]:
     ]
 
 
-def _law(name: str, tol: float, instances: Iterable[tuple[float, tuple]]) -> LawReport:
+def _law(name: str, tol: float, instances: Iterable[tuple[float, Callable[[], str]]]) -> LawReport:
     """Report one law from its ``(residual, witness)`` instances.
 
-    A witness is ``(render, *values)`` with the values captured when its
-    instance is drawn; ``render(*values)`` builds the text only for an
-    instance that is the worst seen so far.  A law with no instance raises
-    ``ValueError`` rather than pass vacuously.
+    A witness is a closure that builds its instance's text.  It is called
+    only for an instance that is the worst seen so far, before the generator
+    resumes, so it reads the values of the instance just drawn.  A law with
+    no instance raises ``ValueError`` rather than pass vacuously.
     """
     require_tolerance(tol)
     cases, max_residual, worst = 0, 0.0, "none"
-    for residual, (render, *values) in instances:
+    for residual, witness in instances:
         cases += 1
         if residual > max_residual or cases == 1:
-            max_residual, worst = residual, render(*values)
+            max_residual, worst = residual, witness()
     if not cases:
         raise ValueError(f"{name}: no instance was drawn, so the law would pass vacuously")
     return LawReport(name, cases, max_residual, max_residual <= tol, tol, worst)
@@ -137,10 +132,6 @@ def _law(name: str, tol: float, instances: Iterable[tuple[float, tuple]]) -> Law
 
 def _vec_residual(v: StateVector, w: StateVector) -> float:
     return float(abs(v.amplitudes - w.amplitudes).max())
-
-
-def _label_witness(x: Label, basis: Basis, case: int) -> str:
-    return f"x={label_text(x)} over {basis!r}, case {case}"
 
 
 def check_monad_laws(gen: SeededGenerator | None = None,
@@ -162,14 +153,14 @@ def check_monad_laws(gen: SeededGenerator | None = None,
             f = gen.linear(basis, gen.pick(bases))
             for x in basis:
                 yield (_vec_residual(bind_fn(vector.unit(basis, x), f), f.row(x)),
-                       (_label_witness, x, basis, case))
+                       lambda: f"x={label_text(x)} over {basis!r}, case {case}")
 
     def right_identity():
         # v >>= unit  ==  v
         for basis, case in itertools.product(bases, range(n_cases)):
             v = gen.vector(basis)
             yield (_vec_residual(bind_fn(v, partial(vector.unit, basis)), v),
-                   ("random vector over {!r}, case {}".format, basis, case))
+                   lambda: f"random vector over {basis!r}, case {case}")
 
     def associativity():
         # (v >>= f) >>= g  ==  v >>= (\a -> f a >>= g)
@@ -181,7 +172,7 @@ def check_monad_laws(gen: SeededGenerator | None = None,
             g = gen.linear(mid, out)
             yield (_vec_residual(bind_fn(bind_fn(v, f), g),
                                  bind_fn(v, lambda a: bind_fn(f.row(a), g))),
-                   ("{!r}->{!r}->{!r}, case {}".format, basis, mid, out, case))
+                   lambda: f"{basis!r}->{mid!r}->{out!r}, case {case}")
 
     return [
         _law("monad/left-identity", tol, left_identity()),
@@ -230,7 +221,7 @@ def check_arrow_laws(gen: SeededGenerator | None = None,
             f, g = gen.table(src, mid), gen.table(mid, dst)
             yield (max_difference(arr(lambda x: g[f[x]], src, dst),
                                   arr(f.__getitem__, src, mid) >> arr(g.__getitem__, mid, dst)),
-                   (_render, "f={}, g={}", f, g))
+                   lambda: f"f={_tabled(f)}, g={_tabled(g)}")
 
     def first_arr():
         # first (arr f)  ==  arr (f x id)
@@ -242,7 +233,7 @@ def check_arrow_laws(gen: SeededGenerator | None = None,
             yield (max_difference(first_fn(arr(f.__getitem__, src, dst), carried),
                                   arr(lambda t: (f[t[0]], t[1]),
                                       product([src, carried]), product([dst, carried]))),
-                   (_render, "f={}, carried size {}", f, carried.size))
+                   lambda: f"f={_tabled(f)}, carried size {carried.size}")
 
     def first_exchange():
         # first f >>> arr (id x g)  ==  arr (id x g) >>> first f
@@ -251,7 +242,7 @@ def check_arrow_laws(gen: SeededGenerator | None = None,
                 g = gen.table(b, carried_out)
                 lhs = first_fn(f, b) >> _id_times(g.__getitem__, f.output_basis, b, carried_out)
                 rhs = _id_times(g.__getitem__, f.input_basis, b, carried_out) >> first_fn(f, carried_out)
-                yield max_difference(lhs, rhs), (_render, "f={}, g={}", name_of(f), g)
+                yield max_difference(lhs, rhs), lambda: f"f={name_of(f)}, g={_tabled(g)}"
 
     def first_drop(f):
         # first f >>> arr fst  ==  arr fst >>> f
@@ -266,19 +257,19 @@ def check_arrow_laws(gen: SeededGenerator | None = None,
 
     def over_pool(law):
         # one instance per pool operator f; law(f) gives the equation's two sides
-        return ((max_difference(*law(f)), ("f={}".format, name_of(f))) for f in pool)
+        return ((max_difference(*law(f)), lambda: f"f={name_of(f)}") for f in pool)
 
     return [
         _law("arrow/left-identity", tol, over_pool(lambda f: (identity_arr(f.input_basis) >> f, f))),
         _law("arrow/right-identity", tol, over_pool(lambda f: (f >> identity_arr(f.output_basis), f))),
         _law("arrow/associativity", tol,
              ((max_difference((f >> g) >> h, f >> (g >> h)),
-               ("f={}, g={}, h={}".format, name_of(f), name_of(g), name_of(h))) for f, g, h in triples)),
+               lambda: f"f={name_of(f)}, g={name_of(g)}, h={name_of(h)}") for f, g, h in triples)),
         _law("arrow/arr-composes", tol, arr_composes()),
         _law("arrow/first-arr", tol, first_arr()),
         _law("arrow/first-composes", tol,
              ((max_difference(first_fn(f >> g, b), first_fn(f, b) >> first_fn(g, b)),
-               ("f={}, g={}".format, name_of(f), name_of(g))) for f, g in pairs)),
+               lambda: f"f={name_of(f)}, g={name_of(g)}") for f, g in pairs)),
         _law("arrow/first-exchange", tol, first_exchange()),
         _law("arrow/first-drop", tol, over_pool(first_drop)),
         _law("arrow/first-assoc", tol, over_pool(first_assoc)),

@@ -70,8 +70,7 @@ def fun2lin(fn: Callable[[Label], Label], input_basis: Basis, output_basis: Basi
             name: str | None = None) -> LinearOp:
     """Lift a classical total function to the permutation-like linear map."""
     m = np.zeros((input_basis.size, output_basis.size), dtype=complex)
-    for i, label in enumerate(input_basis):
-        m[i, output_basis.index_of(fn(label))] = 1.0
+    m[np.arange(input_basis.size), [output_basis.index_of(fn(label)) for label in input_basis]] = 1.0
     return LinearOp._owning(input_basis, output_basis, m, name=name or "fun2lin")
 
 

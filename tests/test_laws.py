@@ -8,6 +8,7 @@ import pytest
 from qarrow import basis as basis_module, vector
 
 from qarrow.basis import Basis, bool_basis, product
+from qarrow.circuits import LIFTED
 from qarrow.laws import (
     LawReport,
     SeededGenerator,
@@ -21,7 +22,7 @@ from qarrow.laws import (
 )
 from qarrow.density import diagnostics, pure_density
 from qarrow.linear import gate
-from qarrow.superop import arr, extensional_equal, lin2super, measure
+from qarrow.superop import arr, extensional_equal, first, lin2super, measure
 
 
 def test_monad_suite_passes_at_defaults():
@@ -251,3 +252,17 @@ def test_worst_case_names_the_instance_that_was_worst():
     assert not left.passed
     assert " over Basis[4](" in left.worst_case
     assert "Basis[8]" not in left.worst_case and "Basis[2]" not in left.worst_case
+
+
+def test_arrow_worst_case_names_the_pool_item_that_was_worst():
+    # first is correct except on CX, the third of the six pool items, which it
+    # lifts as CZ: same shape, another channel.  The witness must name CX, not
+    # the pool item the generator reaches after it.
+    def first_wrong_on_cx(s, carried):
+        return first(LIFTED["CZ"], carried) if s is LIFTED["CX"] else first(s, carried)
+
+    reports = check_arrow_laws(SeededGenerator(42), first_fn=first_wrong_on_cx)
+    failed = {r.name: r for r in reports if not r.passed}
+    assert sorted(failed) == ["arrow/first-composes", "arrow/first-drop"]
+    assert failed["arrow/first-drop"].worst_case == "f=lift(controlled(qnot))"
+    assert failed["arrow/first-composes"].worst_case.startswith("f=lift(controlled(qnot)), ")
