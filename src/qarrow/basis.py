@@ -12,10 +12,12 @@ the same product object, from a bounded ``lru_cache`` keyed on their identities.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 from typing import Any, Iterable, Iterator, Sequence
 
 Label = Any
+_ATOM = re.compile(r"[^,)]*")
 
 
 class BasisMismatchError(ValueError):
@@ -164,7 +166,7 @@ def _parse_label(text: str) -> tuple[Label, str]:
                 return tuple(parts), rest[1:]
             else:
                 raise ValueError(f"unbalanced tuple in label text {text!r}")
-    end = min([i for i in (text.find(","), text.find(")")) if i >= 0] or [len(text)])
+    end = _ATOM.match(text).end()
     atom, rest = text[:end], text[end:]
     if atom == "F":
         return False, rest
