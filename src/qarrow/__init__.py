@@ -17,7 +17,6 @@ The layers, from the ground up:
 
 from .basis import Basis, BasisMismatchError, bool_basis, label_text, parse_label, product
 from .circuits import (
-    CATALOG,
     alice,
     bob,
     copy,

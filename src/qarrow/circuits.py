@@ -22,10 +22,8 @@ every call wires a fresh top-level term, whose name is read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter
-from typing import Callable
 
 from .basis import Basis, bool_basis, product
 from .density import DensityMatrix, pure_density
@@ -57,6 +55,8 @@ def proc(wires, lines, outputs, name: str | None = None) -> Superoperator:
     dropping one silently would be ``weaken``.  ``name`` names the last ``compose``."""
     wires, outputs = tuple(wires), tuple(outputs)
     index = {w: i for i, w in enumerate(wires)}
+    if len(index) < len(wires):  # a repeated wire would shadow, and so forget, the earlier one
+        raise ValueError(f"repeated wire {next(w for w in wires if wires.count(w) > 1)!r}")
     for w in [w for _, ins in lines for w in ins] + list(outputs):
         if w not in index:
             raise ValueError(f"unknown wire {w!r}")
@@ -145,26 +145,3 @@ def weaken() -> Superoperator:
     """Silently forget the left wire.  Not physically realizable; kept as the
     counterexample showing why discards must go through the partial trace."""
     return arr(lambda t: t[1], _B2, _B, name="weaken")
-
-
-@dataclass(frozen=True)
-class DemoCircuit:
-    build: Callable[[], Superoperator]
-    default_input: Callable[[], DensityMatrix]
-    expected_output: Callable[[], DensityMatrix]
-
-
-CATALOG: dict[str, DemoCircuit] = {
-    # doubly-controlled not on (top, middle, bottom), input |T,T,F>
-    "toffoli": DemoCircuit(
-        build=toffoli_super,
-        default_input=lambda: pure_density(unit(_B3, (True, True, False))),
-        expected_output=lambda: pure_density(unit(_B3, (True, True, True))),
-    ),
-    # teleport the superposed qubit qFT over a shared entangled pair
-    "teleport": DemoCircuit(
-        build=teleport,
-        default_input=lambda: prepare_teleport_input(named_state("qFT")),
-        expected_output=lambda: pure_density(named_state("qFT")),
-    ),
-}

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run <file>``: compile and run a circuit file, emit the final density.
-* ``demo <name>``: run a catalog circuit on its documented default input.
+* ``demo <name>``: run a packaged circuit file, ``run`` on ``data/<name>.qc``.
 * ``laws``: run the twelve law suites and print the report table.
 
 Exit codes (failures are reported on stderr in ``error:`` lines): 0 success,
@@ -20,11 +20,12 @@ import json
 import math
 import os
 import sys
+from importlib import resources
 
-from .circuits import CATALOG
-from .density import DensityMatrix, diagnostics, format_table, max_abs_diff, to_json_dict
+from .density import DensityMatrix, diagnostics, format_table, max_abs_diff, pure_density, to_json_dict
 from .laws import run_all
 from .textcircuit import CircuitError, initial_density, parse_circuit, route
+from .vector import named_state
 
 _TELEPORT_TOL = 1e-9
 # A run's peak in k-wire densities (16 * 4**k bytes each): the input and the
@@ -37,6 +38,7 @@ _TEXT_PRECISION = 4  # the text table's default decimals, which the budget above
 _TABLE_BYTES_PER_DIGIT = 4
 _MAX_TEXT_PRECISION = 2 ** 31 - 1  # str.format refuses more digits
 _CLOSED_OUTPUT = 141
+_DEMOS = ("teleport", "toffoli")  # the packaged data/*.qc files, by stem
 
 
 class _UsageError(Exception):
@@ -62,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--validate-input", action="store_true",
                        help="refuse inputs that are not unit-trace Hermitian PSD at tol 1e-6")
 
-    demo_p = sub.add_parser("demo", parents=[emit], help="run a catalog circuit on its default input")
-    demo_p.add_argument("name", choices=sorted(CATALOG))
+    demo_p = sub.add_parser("demo", parents=[emit], help="run a packaged circuit file")
+    demo_p.add_argument("name", choices=_DEMOS)
+    demo_p.set_defaults(validate_input=False)
 
     laws_p = sub.add_parser("laws", help="run the monad and arrow law suites")
     laws_p.add_argument("--seed", type=_seed, default=42)
@@ -125,12 +128,17 @@ def _cmd_run(args, out, err) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=err)
         return 2
+    return _run(text, args, out, err)[0]
+
+
+def _run(text: str, args, out, err) -> tuple[int, DensityMatrix | None]:
+    """Parse, route and run circuit text and emit its final density: the exit code and that density."""
     try:
         ir = parse_circuit(text)
         routed = route(ir)
     except CircuitError as exc:
         print(f"error: {exc}", file=err)
-        return 2
+        return 2, None
     try:
         if not _fits(4 ** len(ir.wires), args):
             raise MemoryError
@@ -144,30 +152,27 @@ def _cmd_run(args, out, err) -> int:
                     f"unit_trace={report.unit_trace} max_violation={report.max_violation:.3e})",
                     file=err,
                 )
-                return 3
-        _emit_density(routed.apply(rho), args.format, args.precision, out)
+                return 3, None
+        result = routed.apply(rho)
+        _emit_density(result, args.format, args.precision, out)
     except MemoryError:
         print(f"error: the density of a {len(ir.wires)}-wire circuit does not fit in memory", file=err)
-        return 3
-    return 0
+        return 3, None
+    return 0, result
 
 
 def _cmd_demo(args, out, err) -> int:
-    entry = CATALOG[args.name]
-    result = entry.build().apply(entry.default_input())
-    if not _fits(result.matrix.size, args):
-        print(f"error: the {args.name} density does not fit in memory at this precision", file=err)
-        return 3
-    _emit_density(result, args.format, args.precision, out)
-    if args.name == "teleport":
-        deviation = max_abs_diff(result, entry.expected_output())
+    text = (resources.files(__package__) / "data" / f"{args.name}.qc").read_text(encoding="utf-8")
+    code, result = _run(text, args, out, err)
+    if code == 0 and args.name == "teleport":  # the file teleports the state of its "init q FT"
+        deviation = max_abs_diff(result, pure_density(named_state("qFT")))
         # in JSON mode stdout holds the one JSON document and nothing else
         print(f"max deviation from expected output: {deviation:.3e}",
               file=err if args.format == "json" else out)
         if deviation > _TELEPORT_TOL:
             print(f"error: teleport deviated by {deviation:.3e} (tol {_TELEPORT_TOL})", file=err)
             return 3
-    return 0
+    return code
 
 
 def _cmd_laws(args, out, err) -> int:

@@ -26,6 +26,7 @@ folded only when ``.pipeline.matrix`` is read.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -104,7 +105,7 @@ def parse_circuit(text: str) -> CircuitIR:
         if len(set(operands)) < len(operands):
             raise CircuitError(lineno, repeated)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

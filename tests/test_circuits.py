@@ -16,7 +16,6 @@ import qarrow.circuits
 import qarrow.superop
 from qarrow.basis import Basis, BasisMismatchError, bool_basis, product
 from qarrow.circuits import (
-    CATALOG,
     LIFTED,
     alice,
     bob,
@@ -265,12 +264,17 @@ def test_weaken_differs_from_the_physical_discard():
 
 
 def test_catalog_entries_run_and_match_their_expectations():
-    for entry in CATALOG.values():
-        out = entry.build().apply(entry.default_input())
-        assert max_abs_diff(out, entry.expected_output()) < 1e-9
+    for build, rho, expected in [
+        # doubly-controlled not on (top, middle, bottom), input |T,T,F>
+        (toffoli_super, pure_density(unit(B3, (True, True, False))),
+         pure_density(unit(B3, (True, True, True)))),
+        # teleport the superposed qubit qFT over a shared entangled pair
+        (teleport, prepare_teleport_input(named_state("qFT")), pure_density(named_state("qFT"))),
+    ]:
+        assert max_abs_diff(build().apply(rho), expected) < 1e-9
 
 
-BUILDERS = [entry.build for entry in CATALOG.values()] + [alice, bob, copy, weaken]
+BUILDERS = [toffoli_super, teleport, alice, bob, copy, weaken]
 
 
 def test_every_call_wires_a_fresh_circuit():
@@ -342,6 +346,15 @@ def test_proc_places_each_line_on_its_wires_and_keeps_the_outputs_in_order():
 def test_proc_refuses_a_wire_that_is_unknown_or_not_output_once_while_live(lines, outputs, wire):
     with pytest.raises(ValueError, match=wire):
         proc(("a", "b"), lines, outputs)
+
+
+@pytest.mark.parametrize("wires, outputs", [(("a", "a"), ("a",)), (("a", "b", "a"), ("a", "b")),
+                                             (("a", "b", "b"), ("a", "b"))])
+def test_proc_refuses_a_repeated_wire(wires, outputs):
+    # with the last "a" standing for both, ("a", "a") -> ("a",) would be weaken: |T,F> -> |F>
+    repeated = "a" if wires.count("a") > 1 else "b"
+    with pytest.raises(ValueError, match=f"repeated wire '{repeated}'"):
+        proc(wires, [], outputs)
 
 
 def test_proc_refuses_a_line_on_a_discarded_wire():

@@ -116,6 +116,24 @@ def test_demo_teleport_reports_a_tiny_deviation_and_succeeds():
     assert deviation <= 1e-9
 
 
+def test_the_demos_are_the_packaged_circuit_files():
+    assert cli._DEMOS == tuple(sorted(p.name[:-3] for p in (resources.files(qarrow) / "data").iterdir()
+                                      if p.name.endswith(".qc")))
+
+
+@pytest.mark.parametrize("name", cli._DEMOS)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("precision", [[], ["--precision", "0"], ["--precision", "6"]])
+def test_demo_is_run_on_the_packaged_file(name, fmt, precision):
+    options = ["--format", fmt] + precision
+    code, out, err = run_cli(["demo", name] + options)
+    lines, errors = out.splitlines(keepends=True), err.splitlines(keepends=True)
+    if name == "teleport":  # its deviation line: last on stdout in text mode, on stderr in JSON
+        assert (lines if fmt == "text" else errors).pop().startswith("max deviation from expected output: ")
+    assert run_cli(["run", bundled_path(f"{name}.qc")] + options) == (code, "".join(lines), "".join(errors))
+    assert code == 0
+
+
 def test_laws_prints_twelve_pass_rows_and_exits_0():
     code, out, err = run_cli(["laws", "--seed", "42"])
     assert code == 0, err
@@ -291,6 +309,10 @@ def test_python_dash_m_runs_the_command(module, tmp_path):
     ok = run(bundled_path("teleport.qc"))
     assert ok.returncode == 0, ok.stderr
     assert "F" in ok.stdout and "T" in ok.stdout
+    demo = subprocess.run([sys.executable, "-m", module, "demo", "teleport"],  # finds its packaged file
+                          env=env, capture_output=True, text=True, timeout=60, cwd=tmp_path)
+    assert (demo.returncode, demo.stderr) == (0, "")
+    assert demo.stdout.startswith(ok.stdout) and "max deviation from expected output" in demo.stdout
 
 
 def _h_file(tmp_path):
@@ -337,8 +359,10 @@ def test_text_precision_of_2_31_or_more_is_a_usage_error(tmp_path, monkeypatch, 
 def test_the_memory_check_counts_the_text_tables_digits(tmp_path, monkeypatch, command, precision, expected):
     called = _stub_emitters(monkeypatch)
     argv = [_h_file(tmp_path) if a == "h.qc" else a for a in command]
-    # one wire out: 4 entries, each 160 bytes plus 8 per decimal past the fourth
-    monkeypatch.setattr(cli, "_memory_limit", lambda: 4 * (160 + 8 * 996))
+    # the input's entries (4 for h.qc's one wire, 64 for teleport.qc's three),
+    # each 160 bytes plus 8 per decimal past the fourth
+    entries = 4 if command[0] == "run" else 64
+    monkeypatch.setattr(cli, "_memory_limit", lambda: entries * (160 + 8 * 996))
     code, out, err = run_cli(argv + ["--precision", str(precision)])
     assert code == expected, err
     if expected == 0:

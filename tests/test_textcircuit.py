@@ -63,6 +63,17 @@ def test_parse_accepts_crlf_and_comments():
     assert ir.steps == (Step("measure", ("q",), 3), Step("discard", ("r",), 4))
 
 
+def test_parse_breaks_lines_only_at_newlines():
+    line_like = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines breaks at each of these
+    comment = "# note" + "".join(f"{c} more" for c in line_like) + "\n"
+    assert parse_circuit("wires a\n" + comment + "gate H a\n") == parse_circuit("wires a\n\ngate H a\n")
+    assert parse_circuit("wires a\r" + comment + "gate H a\r") == parse_circuit("wires a\n\ngate H a\n")
+    text = "wires a\n" + comment * 2 + "gate H a\r\nbogus a\n"
+    with pytest.raises(CircuitError, match="unknown directive 'bogus'") as caught:
+        parse_circuit(text)
+    assert caught.value.line == text[:text.index("bogus")].count("\n") + 1 == 5
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [
