@@ -81,18 +81,18 @@ _TOFFOLI = (("H", ("bottom",)), ("CPHASE", ("middle", "bottom")), ("CX", ("top",
             ("CAPHASE", ("middle", "bottom")), ("CX", ("top", "middle")),
             ("CPHASE", ("top", "bottom")), ("H", ("bottom",)))
 _TOFFOLI_WIRES = ("top", "middle", "bottom")
+_TOFFOLI_STEPS = [linear.on(_LINEAR[g], _B3, map(_TOFFOLI_WIRES.index, ins)) for g, ins in _TOFFOLI]
 
 
 def toffoli_lin() -> LinearOp:
     """The 8x8 operator for wire order (top, middle, bottom): the vector-monad twin of
-    :func:`toffoli_super`, each gate a step operator placed ``on`` its wires.
+    :func:`toffoli_super`, each gate a step operator placed ``on`` its wires once, at import.
 
     A row binds the seven steps left to right, which by monad associativity,
     ``(v >>= f) >>= g = v >>= (λa. f a >>= g)``, equals the do-block that
     nests every gate in the previous one's continuation.
     """
-    steps = [linear.on(_LINEAR[g], _B3, map(_TOFFOLI_WIRES.index, ins)) for g, ins in _TOFFOLI]
-    return from_rows(lambda label: reduce(bind, steps, unit(_B3, label)), _B3, name="toffoli")
+    return from_rows(lambda label: reduce(bind, _TOFFOLI_STEPS, unit(_B3, label)), _B3, name="toffoli")
 
 
 def toffoli_super() -> Superoperator:

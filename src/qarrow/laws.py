@@ -29,7 +29,7 @@ from . import vector
 from .basis import Basis, Label, bool_basis, label_text, product
 from .circuits import LIFTED
 from .linear import LinearOp
-from .superop import Superoperator, arr, first, identity_arr, max_difference, measure, trace_left
+from .superop import Superoperator, _node, arr, first, identity_arr, max_difference, measure, trace_left
 from .vector import StateVector, require_tolerance
 
 _N_RANDOM = 20  # random classical functions drawn for arr-composes and first-arr
@@ -303,5 +303,5 @@ def first_without_dual(s: Superoperator, carried: Basis) -> Superoperator:
     # d1, and repeat them for every d2: d2 is ignored
     tied = np.einsum("imjmknlp->imjknlp", full)
     m = np.broadcast_to(tied[:, :, :, None], full.shape)
-    return Superoperator(lifted.input_basis, lifted.output_basis, m.reshape(lifted.matrix.shape),
-                         name="broken-first")
+    return _node(lifted.input_basis, lifted.output_basis, ("leaf",), "broken-first",
+                 leaf=m.reshape(lifted.matrix.shape))  # reshaping the broadcast view copies it

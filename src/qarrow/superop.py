@@ -19,9 +19,9 @@ Folds are deterministic, so identical inputs give bit-identical matrices:
 ``arr``, ``on``, ``trace_left`` and ``measure`` write their nonzeros into
 zeros with one assignment, ``lin2super`` is one broadcast product, and
 ``>>`` is never a product of two channel matrices: the fold builds a
-chain's first channel and runs each later term on that matrix's blocks, as
-:func:`apply` runs it on a density.  ``on`` places a step through a bounded
-cache, and :func:`contract` reuses a bounded cache of its transposes.
+chain's first channel and runs the later terms on its blocks in one pass,
+as :func:`apply` runs a chain on a density.  ``on`` places a step through a
+bounded cache, and :func:`contract` reuses a bounded cache of its transposes.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class Superoperator:
         n = self.input_basis.size
         t = np.zeros((n, n), dtype=complex)
         t[self.input_basis.index_of(a1), self.input_basis.index_of(a2)] = 1.0
-        return DensityMatrix._owning(self.output_basis, _run(self, t, 0, 1))
+        return DensityMatrix._owning(self.output_basis, _run([self], t, 0, 1))
 
     def apply(self, d: DensityMatrix) -> DensityMatrix:
         return apply(self, d)
@@ -106,7 +106,7 @@ def apply(s: Superoperator, d: DensityMatrix) -> DensityMatrix:
         raise BasisMismatchError(
             f"cannot apply channel over {s.input_basis!r} to density over {d.basis!r}"
         )
-    return DensityMatrix._owning(s.output_basis, _run(s, d.matrix, 0, 1))
+    return DensityMatrix._owning(s.output_basis, _run([s], d.matrix, 0, 1))
 
 
 def contract(t: np.ndarray, matrix: np.ndarray, axes, out_shape: tuple[int, ...]) -> np.ndarray:
@@ -127,10 +127,11 @@ def _axis_plan(ndim: int, axes: tuple) -> tuple[tuple, tuple]:  # axes last, in 
     return order, tuple(map(order.index, range(ndim)))
 
 
-def _run(s: Superoperator, t: np.ndarray, r: int, c: int) -> np.ndarray:
-    """Run ``s`` on the density tensor ``t``, whose axes ``r`` < ``c`` index
-    ``s``'s input basis as row and column; they come back indexing its output."""
-    todo, sizes = [s], (t.shape[r],)  # r and c whole, or split into one axis per factor
+def _run(todo: list, t: np.ndarray, r: int, c: int) -> np.ndarray:
+    """Run the stack ``todo`` of terms, top first, on the density tensor ``t``, whose axes
+    ``r`` < ``c`` index the top term's input basis as row and column; they come back indexing
+    the bottom term's output basis.  The stack is used up."""
+    sizes = (t.shape[r],)  # r and c whole, or split into one axis per factor
     while todo:  # a >> chain runs left to right, without recursion
         s = todo.pop()
         term = s._term
@@ -142,7 +143,7 @@ def _run(s: Superoperator, t: np.ndarray, r: int, c: int) -> np.ndarray:
                 t = _refactor(t, r, c, sizes, ins)
             cols = c + len(ins) - 1
             if len(positions) == 1:
-                t = _run(inner, t, r + positions[0], cols + positions[0])
+                t = _run([inner], t, r + positions[0], cols + positions[0])
             else:
                 axes = [r + p for p in positions] + [cols + p for p in positions]
                 t = contract(t, inner.matrix, axes, tuple(outs[p] for p in positions) * 2)
@@ -178,7 +179,7 @@ def _relabel(t: np.ndarray, axis: int, target: np.ndarray, inverse, n_out: int) 
 
 def _fold(s: Superoperator) -> np.ndarray:
     """The dense matrix of ``s``: a chain's first channel is built (or its
-    matrix reused), and every later term runs on that matrix's blocks.  A
+    matrix reused), and the later terms run on its blocks in one pass.  A
     leading ``arr f`` only picks rows, since row (a1, a2) of ``arr f >> g``
     is row (f a1, f a2) of ``g``'s: the next channel ``g`` is built instead,
     and a lone ``arr f``, which is ``arr f >> arr id``, is ones at those columns."""
@@ -204,10 +205,7 @@ def _fold(s: Superoperator) -> np.ndarray:
         _, inner, positions, ins, outs = s._term
         m = place(_fold(inner), ins + ins, outs + outs, positions + tuple(len(ins) + p for p in positions))
     n = s.output_basis.size
-    t = m.reshape(len(m), n, n)
-    for right in reversed(rights):
-        t = _run(right, t, 1, 2)
-    return t.reshape(len(m), -1)
+    return _run(rights, m.reshape(len(m), n, n), 1, 2).reshape(len(m), -1)
 
 
 def compose(f: Superoperator, g: Superoperator, name: str | None = None) -> Superoperator:
@@ -321,23 +319,34 @@ class EqualityReport:
                 f"at block ({pin}) entry ({pout})")
 
 
-def _difference(s: Superoperator, t: Superoperator) -> np.ndarray:
-    """Entrywise |S - T| of the two dense matrices."""
+_BLOCK = 1 << 12  # |S - T| entries per row block: 64 KiB of scratch, sized on a 2-core Xeon host
+
+
+def _difference(s: Superoperator, t: Superoperator) -> tuple[float, int, int]:
+    """The max of |S - T| and its first (row, column) in row-major order, as ``np.argmax``
+    finds them (a NaN first of all), in row blocks so that no full-size temporary is made."""
     if s.input_basis != t.input_basis or s.output_basis != t.output_basis:
         raise BasisMismatchError("cannot compare channels with differing bases")
-    return np.abs(s.matrix - t.matrix)
+    a, b, best, at = s.matrix, t.matrix, -1.0, (0, 0)
+    step = max(1, _BLOCK // a.shape[1])
+    for i in range(0, len(a), step):
+        diff = np.abs(a[i:i + step] - b[i:i + step])
+        row, col = divmod(int(np.argmax(diff)), diff.shape[1])
+        if not diff[row, col] <= best:  # a larger entry or a NaN; a tie keeps the earlier one
+            best, at = float(diff[row, col]), (i + row, col)
+            if best != best:  # no later entry can be picked over the first NaN
+                break
+    return best, *at
 
 
 def max_difference(s: Superoperator, t: Superoperator) -> float:
-    return float(_difference(s, t).max())
+    return _difference(s, t)[0]
 
 
 def extensional_equal(s: Superoperator, t: Superoperator, tol: float) -> EqualityReport:
     """Blockwise comparison; by linearity this decides equality on all densities."""
     require_tolerance(tol)
-    diff = _difference(s, t)
-    max_diff = float(np.max(diff))
-    row, col = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    max_diff, row, col = _difference(s, t)
     # row r of the matrix is the input pair divmod(r, |A|), and likewise for columns
     worst_in = tuple(map(s.input_basis.element_at, divmod(row, s.input_basis.size)))
     worst_out = tuple(map(s.output_basis.element_at, divmod(col, s.output_basis.size)))

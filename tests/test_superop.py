@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from qarrow import basis as basis_module, linear, superop
 from qarrow.basis import Basis, BasisMismatchError, bool_basis, product
-from qarrow.circuits import copy, prepare_teleport_input, teleport, toffoli_super
+from qarrow.circuits import LIFTED, copy, prepare_teleport_input, teleport, toffoli_super
 from qarrow.density import DensityMatrix, max_abs_diff, pure_density, zero_density
 from qarrow.linear import LinearOp, compose as compose_lin, controlled, gate, identity, lin_tensor
 from qarrow.superop import (
@@ -222,6 +222,33 @@ def test_extensional_equality_reports():
     assert "max_diff" in str(report)
     with pytest.raises(BasisMismatchError):
         extensional_equal(h, measure(B), 1e-12)
+
+
+def dense_worst(s, t):
+    """The dense reference: the max of |S - T| and its first argmax, in row-major order."""
+    diff = np.abs(s.matrix - t.matrix)
+    row, col = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    return float(np.max(diff)), divmod(int(row), 8), divmod(int(col), 8)
+
+
+@pytest.mark.parametrize("block", [1, 3 * 64, superop._BLOCK])  # rows per block: 1, 3 and all 64
+@pytest.mark.parametrize("entries, expected, at", [
+    ({(5, 7): 2j, (40, 3): -2, (20, 1): 1}, 2.0, (5, 7)),  # a tie across blocks: the first one wins
+    ({(3, 0): 5, (30, 2): np.nan, (50, 1): np.nan}, np.nan, (30, 2)),  # the first NaN wins over any number
+])
+def test_the_comparison_in_row_blocks_matches_the_dense_one(monkeypatch, block, entries, expected, at):
+    monkeypatch.setattr(superop, "_BLOCK", block)
+    m = np.zeros((64, 64), dtype=complex)
+    for i, v in entries.items():
+        m[i] = v
+    s, t = Superoperator(B3, B3, np.zeros((64, 64))), Superoperator(B3, B3, m)
+    worst, pin, pout = dense_worst(s, t)
+    report = extensional_equal(s, t, 1e-9)
+    np.testing.assert_equal([report.max_diff, max_difference(s, t), worst], [expected] * 3)
+    assert not report.equal
+    assert (pin, pout) == tuple(divmod(i, 8) for i in at)
+    assert report.worst_input == tuple(map(B3.element_at, pin))
+    assert report.worst_output == tuple(map(B3.element_at, pout))
 
 
 def trace_preserving_pool():
@@ -730,3 +757,47 @@ def test_an_arr_led_chain_folds_the_next_channel_and_never_the_arr(monkeypatch):
     s = f >> (h >> h)
     assert dev(s.matrix, lin2super(gate("qnot")).matrix) < 1e-15
     assert folded == [s, h]
+
+
+# The fold runs a chain's later terms in one pass, with the axes kept split along a run
+# of ons.  Re-leafing the prefix after each stage gives the stage-by-stage fold, which
+# merges the axes after every term; every product sees the same rows, so the bits agree.
+def stage_by_stage(stages):
+    prefix = stages[0]
+    for nxt in stages[1:]:
+        prefix = Superoperator(prefix.input_basis, prefix.output_basis, prefix.matrix) >> nxt
+    return prefix.matrix
+
+
+H, CX = lin2super(gate("hadamard")), lin2super(controlled(gate("qnot")))
+B1U1B = product([B, Basis([()]), B])
+ASSOC = arr(lambda t: (t[0][0], (t[0][1], t[1])), product([BB, B]), product([B, BB]))
+FOLD_CHAINS = {
+    "on then trace_left": [on(H, BB, (1,)), on(CX, BB, (1, 0)), trace_left(BB), H],
+    "on then measure": [on(H, B3, (0,)), on(CX, B3, (0, 2)), measure(B3), trace_left(product([B3, B3])),
+                        on(H, B3, (1,))],
+    "on then a non-bijective arr": [on(H, B3, (0,)), on(CX, B3, (0, 1)),
+                                    arr(lambda t: (t[0] and t[1], t[1], t[2]), B3, B3), on(H, B3, (0,))],
+    "first of first then assoc": [first(on(H, BB, (1,)), B), first(first(H, B), B), ASSOC, first(H, BB),
+                                  second(CX, B)],
+    "a discard's one-label factor": [on(H, B3, (1,)), on(CX, B3, (1, 2)), on(LIFTED["discard"], B3, (1,)),
+                                     on(CX, B1U1B, (0, 2)), on(H, B1U1B, (2,))],
+    "led by arr": [arr(lambda t: (t[1], t[1], t[0]), B3, B3), on(H, B3, (0,)), on(CX, B3, (0, 2)),
+                   on(H, B3, (2,))],
+}
+
+
+@pytest.mark.parametrize("stages", FOLD_CHAINS.values(), ids=FOLD_CHAINS)
+def test_a_chain_folds_in_one_pass_to_the_stage_by_stage_fold(stages):
+    want = stage_by_stage(stages)
+    assert np.array_equal(reduce(compose, stages).matrix, want)
+    assert np.array_equal(reduce(lambda f, g: compose(g, f), stages[::-1]).matrix, want)  # right-nested
+
+
+def test_a_fold_keeps_the_axes_split_along_a_run_of_ons(monkeypatch):
+    calls = []
+    refactor = superop._refactor
+    monkeypatch.setattr(superop, "_refactor", lambda t, *rest: calls.append(rest) or refactor(t, *rest))
+    s = on(H, B3, (0,)) >> on(CX, B3, (1, 2)) >> on(CX, B3, (2, 0)) >> on(H, B3, (1,))
+    s.matrix
+    assert [(old, new) for *_, old, new in calls] == [((8,), (2, 2, 2)), ((2, 2, 2), (8,))]

@@ -8,7 +8,8 @@ from qarrow import density, linear, superop, vector
 from qarrow.basis import BasisMismatchError, bool_basis, product
 from qarrow.circuits import prepare_teleport_input, teleport
 from qarrow.density import DensityMatrix
-from qarrow.laws import SeededGenerator, run_all
+from qarrow.laws import (SeededGenerator, check_arrow_laws, check_monad_laws, first_without_dual, run_all,
+                         skipping_bind)
 from qarrow.linear import LinearOp, controlled, from_rows, gate
 from qarrow.superop import Superoperator
 from qarrow.textcircuit import initial_density, parse_circuit, route
@@ -238,7 +239,7 @@ def test_library_results_are_read_only_and_public_vectors_copy():
 
 def test_the_library_makes_no_defensive_copy(monkeypatch):
     # the public constructors copy a caller's array; every value the library
-    # makes for itself adopts the array just made for it
+    # makes for itself, the mutation fixtures' included, adopts the array just made for it
     qubits = [SeededGenerator(seed).qubit() for seed in range(8)]
     ghz10 = "wires " + " ".join(f"w{i}" for i in range(10)) + "\ngate H w0\n" + "".join(
         f"cgate X w{i} w{i + 1}\n" for i in range(9))
@@ -252,6 +253,8 @@ def test_the_library_makes_no_defensive_copy(monkeypatch):
     for module in (vector, linear, density, superop):
         monkeypatch.setattr(module, "frozen_array", counting)
     run_all(seed=0)
+    check_monad_laws(SeededGenerator(0), bind_fn=skipping_bind)
+    check_arrow_laws(SeededGenerator(0), first_fn=first_without_dual)
     for q in qubits:
         teleport().apply(prepare_teleport_input(q))
     ir = parse_circuit(ghz10)
