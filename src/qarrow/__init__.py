@@ -11,7 +11,7 @@ The layers, from the ground up:
 * :mod:`qarrow.circuits`: worked circuits (Toffoli, teleportation,
   copy/weaken).
 * :mod:`qarrow.laws`: numeric suites for the monad and arrow equations.
-* :mod:`qarrow.textcircuit`: circuit file parser and wire router.
+* :mod:`qarrow.textcircuit`: circuit files parsed to runnable ``proc`` blocks.
 * :mod:`qarrow.cli`: the ``qarrow`` command.
 """
 
@@ -69,7 +69,7 @@ from .superop import (
     trace_left,
 )
 from .superop import compose as compose_super
-from .textcircuit import CircuitError, CircuitIR, RoutedPipeline, initial_density, parse_circuit, route
+from .textcircuit import CircuitError, CircuitIR, initial_density, parse_circuit, route
 from .vector import StateVector, bind, dot, named_state, scale, tensor, unit, zero
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes (failures are reported on stderr in ``error:`` lines): 0 success,
 1 law-suite failure, 2 usage errors (a text ``--precision`` of 2**31 or more
-among them), unreadable files and parse/route diagnostics, 3 numerical
+among them), unreadable files and parse diagnostics, 3 numerical
 validation failure or a density or text table too large for memory, 141
 standard output closed early (128 + SIGPIPE, as a shell reports it).
 """
@@ -123,7 +123,7 @@ def _emit_density(d: DensityMatrix, fmt: str, precision: int | None, out) -> Non
 
 def _cmd_run(args, out, err) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:  # a leading byte-order mark is not text
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=err)
@@ -132,10 +132,9 @@ def _cmd_run(args, out, err) -> int:
 
 
 def _run(text: str, args, out, err) -> tuple[int, DensityMatrix | None]:
-    """Parse, route and run circuit text and emit its final density: the exit code and that density."""
+    """Parse and run circuit text and emit its final density: the exit code and that density."""
     try:
         ir = parse_circuit(text)
-        routed = route(ir)
     except CircuitError as exc:
         print(f"error: {exc}", file=err)
         return 2, None
@@ -153,7 +152,7 @@ def _run(text: str, args, out, err) -> tuple[int, DensityMatrix | None]:
                     file=err,
                 )
                 return 3, None
-        result = routed.apply(rho)
+        result = route(ir).apply(rho)
         _emit_density(result, args.format, args.precision, out)
     except MemoryError:
         print(f"error: the density of a {len(ir.wires)}-wire circuit does not fit in memory", file=err)

@@ -16,12 +16,11 @@ Parsing yields a :class:`CircuitIR` in the paper's ``proc`` form: one
 ``measure`` or ``discard`` line (the command ``outs <- op -< ins``: its
 directive, operand wires in order, line number, and ``op``, its channel from
 :data:`~qarrow.circuits.LIFTED`, the one step table), and the wires live at
-the end (``returnA -< outputs``).  Routing adds nothing: the routed stages
-are the parsed steps, each keeping its source line, and the routed circuit
-is the :func:`~qarrow.circuits.proc` block of those steps, each acting
-``on`` its own wires; :func:`~qarrow.superop.apply` runs it on the density,
-so no permutation of the other wires is built, and its dense channel is
-folded only when ``.pipeline.matrix`` is read.
+the end (``returnA -< outputs``).  The parsed circuit runs itself: its
+``pipeline`` is the :func:`~qarrow.circuits.proc` block of its stages, each
+acting ``on`` its own wires, and its ``apply`` runs that block on the density
+with :func:`~qarrow.superop.apply`, so no permutation of the other wires is
+built, and the dense channel is folded only when ``.pipeline.matrix`` is read.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .vector import StateVector, named_state
 
 
 class CircuitError(ValueError):
-    """Parse or routing diagnostic carrying the offending line number."""
+    """Parse diagnostic carrying the offending line number."""
 
     def __init__(self, line: int, message: str):
         self.line = line
@@ -56,7 +55,7 @@ _STEP_FORMS = {"gate": "gate <G> <wire>", "cgate": "cgate <G> <ctrl> <tgt>",
 
 @dataclass(frozen=True)
 class Step:
-    """One ``gate``, ``cgate``, ``measure`` or ``discard`` line, and the stage it routes to:
+    """One ``gate``, ``cgate``, ``measure`` or ``discard`` line, and the stage it runs as:
     ``op`` acts on ``wires``, in operand order, and on nothing else."""
 
     directive: str
@@ -81,10 +80,24 @@ class Init:
 
 @dataclass(frozen=True)
 class CircuitIR:
+    """A parsed circuit file as one ``proc`` block: ``wires`` in, the ``stages`` in
+    file order, ``outputs`` out; ``inits`` prepare its input density."""
+
     wires: tuple[str, ...]
     inits: tuple
-    steps: tuple
-    outputs: tuple[str, ...]  # the wires still live after the steps, in wire order
+    stages: tuple
+    outputs: tuple[str, ...]  # the wires still live after the stages, in wire order
+
+    def apply(self, rho: DensityMatrix) -> DensityMatrix:
+        """Run the circuit on one density over its input wires."""
+        if rho.basis != self.pipeline.input_basis:
+            raise BasisMismatchError(f"circuit expects a density over wires {self.wires}")
+        return apply(self.pipeline, rho)
+
+    @cached_property
+    def pipeline(self) -> Superoperator:
+        """The circuit as one ``proc`` block: each stage ``on`` its own wires, joined by ``>>``."""
+        return proc(self.wires, [(s.op, s.wires) for s in self.stages], self.outputs)
 
 
 def parse_circuit(text: str) -> CircuitIR:
@@ -167,28 +180,11 @@ def parse_circuit(text: str) -> CircuitIR:
     return CircuitIR(wires, tuple(inits), tuple(steps), tuple(w for w in wires if w in live))
 
 
-@dataclass(frozen=True)
-class RoutedPipeline:
-    input_wires: tuple[str, ...]
-    output_wires: tuple[str, ...]
-    stages: tuple[Step, ...]
-
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        """Run the circuit on one density over the input wires."""
-        if rho.basis != self.pipeline.input_basis:
-            raise BasisMismatchError(f"routed circuit expects a density over wires {self.input_wires}")
-        return apply(self.pipeline, rho)
-
-    @cached_property
-    def pipeline(self) -> Superoperator:
-        """The circuit as one ``proc`` block: each stage ``on`` its own wires, joined by ``>>``."""
-        return proc(self.input_wires, [(stage.op, stage.wires) for stage in self.stages],
-                    self.output_wires)
-
-
-def route(ir: CircuitIR) -> RoutedPipeline:
-    """The ``proc`` block of validated IR: its steps are the stages, addressed by wire name."""
-    return RoutedPipeline(ir.wires, ir.outputs, ir.steps)
+def route(ir: CircuitIR) -> CircuitIR:
+    """``ir`` itself, which already runs as its ``proc`` block.  Kept only as the name
+    the benchmark tracer times and counts stages at; it can go once the benchmark
+    (ROADMAP item 1) stops calling it."""
+    return ir
 
 
 def initial_density(ir: CircuitIR) -> DensityMatrix:

@@ -233,6 +233,16 @@ def test_run_non_utf8_file_exits_2(tmp_path):
     assert err.startswith(f"error: cannot read {bad}")
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_run_reads_past_a_utf8_byte_order_mark(tmp_path, fmt):
+    plain = Path(bundled_path("teleport.qc"))
+    marked = tmp_path / "teleport.qc"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected = run_cli(["run", str(plain), "--format", fmt])
+    assert expected[0] == 0, expected[2]
+    assert run_cli(["run", str(marked), "--format", fmt]) == expected
+
+
 def test_run_ten_wires_matches_the_ghz_state(tmp_path):
     names = [f"w{i}" for i in range(10)]
     circuit = tmp_path / "ghz10.qc"

@@ -44,23 +44,23 @@ def bundled(name):
 def test_parse_the_bundled_toffoli_file():
     ir = parse_circuit(bundled("toffoli.qc"))
     assert ir.wires == ("a", "b", "c")
-    assert len(ir.steps) == 7
-    assert ir.steps[0] == Step("gate", ("c",), 6, "H")
-    assert ir.steps[1] == Step("cgate", ("b", "c"), 7, "PHASE")
-    assert [s.gate is not None for s in ir.steps].count(True) == 7
+    assert len(ir.stages) == 7
+    assert ir.stages[0] == Step("gate", ("c",), 6, "H")
+    assert ir.stages[1] == Step("cgate", ("b", "c"), 7, "PHASE")
+    assert [s.gate is not None for s in ir.stages].count(True) == 7
     assert ir.inits == (Init(("a",), "T", 4), Init(("b",), "T", 5))
 
 
 def test_parse_a_minimal_circuit():
     ir = parse_circuit("wires q\ngate H q\n")
     assert ir.wires == ("q",)
-    assert ir.steps == (Step("gate", ("q",), 2, "H"),)
+    assert ir.stages == (Step("gate", ("q",), 2, "H"),)
     assert ir.inits == ()
 
 
 def test_parse_accepts_crlf_and_comments():
     ir = parse_circuit("wires q r\r\n# a comment\r\nmeasure q  # trailing\r\ndiscard r\r\n")
-    assert ir.steps == (Step("measure", ("q",), 3), Step("discard", ("r",), 4))
+    assert ir.stages == (Step("measure", ("q",), 3), Step("discard", ("r",), 4))
 
 
 def test_parse_breaks_lines_only_at_newlines():
@@ -114,7 +114,7 @@ def test_routed_toffoli_matches_the_catalog_circuit():
 
 def test_routed_teleport_matches_the_catalog_circuit():
     routed = route(parse_circuit(bundled("teleport.qc")))
-    assert routed.output_wires == ("eprR",)
+    assert routed.outputs == ("eprR",)
     assert extensional_equal(routed.pipeline, teleport(), 1e-9).equal
 
 
@@ -162,11 +162,11 @@ def test_routed_stages_are_the_parsed_steps_and_keep_their_source_lines():
     ir = parse_circuit("wires a b c\n\n# a comment\ncgate X c a\nmeasure b  # keep b\n"
                        "discard c\ngate H a\n")
     routed = route(ir)
-    assert routed.stages is ir.steps
+    assert routed is ir
     assert [(s.directive, s.line) for s in routed.stages] == [
         ("cgate", 4), ("measure", 5), ("discard", 6), ("gate", 7)]
     assert [s.op for s in routed.stages] == [LIFTED[k] for k in ("CX", "measure", "discard", "H")]
-    assert ir.outputs == routed.output_wires == ("a", "b")
+    assert ir.outputs == routed.outputs == ("a", "b")
 
 
 def test_ghz5_routes_to_five_stages():
@@ -218,7 +218,7 @@ def test_routed_pipeline_bases_match_the_wire_lists():
     routed = route(ir)
     assert routed.pipeline.input_basis == product([B, B, B])
     assert routed.pipeline.output_basis == product([B, B])
-    assert routed.output_wires == ("b", "c")
+    assert routed.outputs == ("b", "c")
 
 
 def test_router_handles_gates_on_middle_wires():
@@ -249,7 +249,7 @@ def test_router_honors_reversed_control_and_target():
 def test_router_discard_drops_a_wire():
     ir = parse_circuit("wires a b\ninit a T\ndiscard a\n")
     routed = route(ir)
-    assert routed.output_wires == ("b",)
+    assert routed.outputs == ("b",)
     out = routed.pipeline.apply(initial_density(ir))
     assert max_abs_diff(out, pure_density(named_state("qFalse"))) < 1e-12
 
@@ -257,7 +257,7 @@ def test_router_discard_drops_a_wire():
 def test_unconsumed_wires_simply_remain():
     ir = parse_circuit("wires a b\ngate H a\n")
     routed = route(ir)
-    assert routed.output_wires == ("a", "b")
+    assert routed.outputs == ("a", "b")
 
 
 def test_empty_step_list_routes_to_the_identity():
@@ -348,7 +348,7 @@ def _oracle_step(op, operands, live):
 def _oracle(ir):
     live = list(ir.wires)
     s = identity_arr(_wires_basis(len(live)))
-    for step in ir.steps:
+    for step in ir.stages:
         if step.gate is not None:
             base = GATES[step.gate]
             op = lin2super(controlled(base) if len(step.wires) == 2 else base)
@@ -467,5 +467,5 @@ def test_parse_circuit_raises_only_circuit_errors_on_token_streams(text):
         return
     # a stream that parses must also route: proc refuses outputs that are not the live wires
     routed = route(ir)
-    assert routed.output_wires == ir.outputs
+    assert routed.outputs == ir.outputs
     assert routed.pipeline.output_basis.size == 2 ** len(ir.outputs)
