@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes (failures are reported on stderr in ``error:`` lines): 0 success,
 1 law-suite failure, 2 usage errors (a text ``--precision`` of 2**31 or more
-among them), unreadable files and parse diagnostics, 3 numerical
-validation failure or a density or text table too large for memory, 141
+among them), unreadable files and parse diagnostics, 3 a density or text
+table too large for memory or ``demo teleport`` off by more than 1e-9, 141
 standard output closed early (128 + SIGPIPE, as a shell reports it).
 """
 
@@ -22,7 +22,7 @@ import os
 import sys
 from importlib import resources
 
-from .density import DensityMatrix, diagnostics, format_table, max_abs_diff, pure_density, to_json_dict
+from .density import DensityMatrix, format_table, max_abs_diff, pure_density, to_json_dict
 from .laws import run_all
 from .textcircuit import CircuitError, initial_density, parse_circuit, route
 from .vector import named_state
@@ -61,12 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", parents=[emit], help="compile and run a circuit file")
     run_p.add_argument("file", help="path to a circuit description")
-    run_p.add_argument("--validate-input", action="store_true",
-                       help="refuse inputs that are not unit-trace Hermitian PSD at tol 1e-6")
 
     demo_p = sub.add_parser("demo", parents=[emit], help="run a packaged circuit file")
     demo_p.add_argument("name", choices=_DEMOS)
-    demo_p.set_defaults(validate_input=False)
 
     laws_p = sub.add_parser("laws", help="run the monad and arrow law suites")
     laws_p.add_argument("--seed", type=_seed, default=42)
@@ -141,18 +138,7 @@ def _run(text: str, args, out, err) -> tuple[int, DensityMatrix | None]:
     try:
         if not _fits(4 ** len(ir.wires), args):
             raise MemoryError
-        rho = initial_density(ir)
-        if args.validate_input:
-            report = diagnostics(rho, tol=1e-6)
-            if not (report.hermitian and report.psd and report.unit_trace):
-                print(
-                    f"error: input density failed validation "
-                    f"(hermitian={report.hermitian} psd={report.psd} "
-                    f"unit_trace={report.unit_trace} max_violation={report.max_violation:.3e})",
-                    file=err,
-                )
-                return 3, None
-        result = route(ir).apply(rho)
+        result = route(ir).apply(initial_density(ir))
         _emit_density(result, args.format, args.precision, out)
     except MemoryError:
         print(f"error: the density of a {len(ir.wires)}-wire circuit does not fit in memory", file=err)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
+from operator import index
 from typing import Callable
 
 import numpy as np
@@ -78,8 +79,10 @@ def placement(input_basis: Basis, output_basis: Basis, basis: Basis, positions) 
     """Check that a map from ``input_basis`` to ``output_basis`` can act ``on`` the factors of
     ``basis`` at ``positions``; gives the positions, the factor sizes in and out, and the output
     basis.  Cached by the identities of the two bases whose factors it reads, so each basis
-    is placed by its own factors, whatever equal basis was placed before."""
-    return _placement(input_basis, output_basis, basis, tuple(positions), id(output_basis), id(basis))
+    is placed by its own factors, whatever equal basis was placed before; the positions are
+    made plain ints first, since ``1.0``, ``True`` and ``np.int64(1)`` are equal keys to ``1``."""
+    positions = tuple(map(index, positions))
+    return _placement(input_basis, output_basis, basis, positions, id(output_basis), id(basis))
 
 
 @lru_cache(maxsize=256)

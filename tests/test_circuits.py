@@ -28,9 +28,9 @@ from qarrow.circuits import (
     weaken,
 )
 from qarrow.density import DensityMatrix, diagnostics, max_abs_diff, pure_density
-from qarrow.laws import SeededGenerator
+from qarrow.laws import SeededGenerator, first_without_dual
 from qarrow.linear import adjoint, controlled, from_rows, fun2lin, gate
-from qarrow.superop import arr, compose, extensional_equal, lin2super, trace_left
+from qarrow.superop import arr, compose, extensional_equal, first, identity_arr, lin2super, on, trace_left
 from qarrow.textcircuit import parse_circuit, route
 from qarrow.vector import StateVector, bind, named_state, unit
 
@@ -369,3 +369,40 @@ def test_prepare_teleport_input_matches_the_kron_oracle():
         amps = np.kron(named_state("epr").amplitudes, q.amplitudes)
         want = pure_density(StateVector(product([bool_basis()] * 3), amps))
         assert np.array_equal(prepare_teleport_input(q).matrix, want.matrix)
+
+
+def probe_difference(s, t):
+    """The largest entry of ``s(X) - t(X)`` over 2 seeded, non-Hermitian complex Gaussian ``X``,
+    each wrapped as a density over its term's own input basis (equal sizes list their labels in
+    the same row-major order); no matrix is folded.  Channels are linear, so a nonzero ``s - t``
+    vanishes on such an ``X`` with probability 0 (Freivalds 1977)."""
+    n = s.input_basis.size
+    assert t.input_basis.size == n and s.output_basis.size == t.output_basis.size
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(2):
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        sx = s.apply(DensityMatrix(s.input_basis, x)).matrix
+        tx = t.apply(DensityMatrix(t.input_basis, x)).matrix
+        worst = max(worst, float(np.max(np.abs(sx - tx))))
+    return worst
+
+
+B9, B10 = product([B] * 9), product([B] * 10)
+
+
+@pytest.mark.parametrize("top, middle, bottom", [(0, 1, 2), (7, 2, 5), (9, 0, 4)])
+def test_the_toffoli_chain_on_three_of_ten_wires_is_the_placed_toffoli(top, middle, bottom):
+    wires = [f"w{i}" for i in range(10)]
+    name = dict(zip(("top", "middle", "bottom"), (wires[top], wires[middle], wires[bottom])))
+    chain = proc(wires, [(g, tuple(name[w] for w in ins)) for g, ins in qarrow.circuits._TOFFOLI], wires)
+    assert probe_difference(chain, on(toffoli_super(), B10, (top, middle, bottom))) <= 1e-12
+
+
+def test_two_hadamards_on_ten_wires_are_the_identity():
+    h = first(LIFTED["H"], B9)
+    assert probe_difference(h >> h, identity_arr(B10)) <= 1e-12
+
+
+def test_the_probes_tell_first_from_its_mutation():
+    assert probe_difference(first_without_dual(LIFTED["H"], B3), first(LIFTED["H"], B3)) > 0.1

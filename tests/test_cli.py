@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +19,7 @@ import qarrow
 from qarrow import cli
 from qarrow.basis import bool_basis, product
 from qarrow.cli import main
-from qarrow.density import DiagnosticsReport, from_json_dict, max_abs_diff, pure_density
+from qarrow.density import from_json_dict, max_abs_diff, pure_density
 from qarrow.laws import SeededGenerator, check_monad_laws
 from qarrow.textcircuit import initial_density, parse_circuit, route
 from qarrow.vector import unit
@@ -50,20 +52,6 @@ def test_run_text_output_has_labels():
     assert code == 0
     assert "F" in out and "T" in out
     assert "0.5000" in out
-
-
-def test_run_validate_input_accepts_prepared_states():
-    code, _, err = run_cli(["run", bundled_path("teleport.qc"), "--validate-input"])
-    assert code == 0, err
-
-
-def test_run_validate_input_exits_3_on_an_unphysical_input(monkeypatch):
-    # every init state of the file format is physical, so the report is forced
-    monkeypatch.setattr(cli, "diagnostics", lambda rho, tol: DiagnosticsReport(True, False, True, 0.25))
-    code, out, err = run_cli(["run", bundled_path("teleport.qc"), "--validate-input"])
-    assert (code, out) == (3, "")
-    assert err == ("error: input density failed validation "
-                   "(hermitian=True psd=False unit_trace=True max_violation=2.500e-01)\n")
 
 
 def test_run_text_precision_is_configurable():
@@ -474,3 +462,13 @@ def test_main_never_raises(drawn):
     assert type(code) is int and code in {0, 1, 2, 3}
     if code == 0 and "json" in argv:
         json.loads(out)
+
+
+def test_the_readme_synopsis_lists_the_parsers_subcommands_and_options():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    synopsis = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    listed = {line.split()[1]: set(re.findall(r"--[\w-]+", line)) for line in synopsis.splitlines()}
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+              for name, p in subparsers.choices.items()}
+    assert listed == parsed

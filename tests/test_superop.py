@@ -636,6 +636,22 @@ def test_a_basis_is_placed_by_its_own_factors_whatever_was_placed_before():
         assert place_on(f, out.factors[0], (1,)).output_basis == pair
 
 
+def test_a_position_means_the_same_whatever_was_placed_before():
+    # 1.0, True and np.int64(1) hash and compare equal to 1, so the placement cache must not
+    # answer one of them with what another left there
+    h = LIFTED["H"]
+    linear._placement.cache_clear()
+    for _ in range(2):  # before and after (1,) is placed
+        for place_on, f in ((on, h), (linear.on, gate("hadamard"))):
+            with pytest.raises(TypeError):
+                place_on(f, BB, (1.0,))
+            place_on(f, BB, (1,))
+    linear._placement.cache_clear()
+    for positions in [(True,), (np.int64(1),), (1,)]:
+        placed = on(h, BB, positions)._term[2]
+        assert placed == (1,) and type(placed[0]) is int
+
+
 def test_the_placement_and_axis_plan_caches_are_bounded():
     assert 0 < basis_module._product.cache_info().maxsize <= 1024
     assert 0 < linear._placement.cache_info().maxsize <= 1024

@@ -10,7 +10,7 @@ import qarrow
 from qarrow import superop
 from qarrow.basis import BasisMismatchError, bool_basis, product
 from qarrow.circuits import GATES, LIFTED, teleport, toffoli_super
-from qarrow.density import max_abs_diff, pure_density
+from qarrow.density import diagnostics, max_abs_diff, pure_density
 from qarrow.linear import controlled, gate
 from qarrow.superop import (
     arr,
@@ -418,7 +418,11 @@ def _kron_initial_density(ir):
 @given(circuit_texts())
 def test_initial_density_matches_the_kron_oracle(text):
     ir = parse_circuit(text)
-    assert np.array_equal(initial_density(ir).matrix, _kron_initial_density(ir).matrix)
+    rho = initial_density(ir)
+    assert np.array_equal(rho.matrix, _kron_initial_density(ir).matrix)
+    # every init is a unit named state or epr, so a parsed file's input is physical by construction
+    report = diagnostics(rho, tol=1e-12)
+    assert (report.hermitian, report.psd, report.unit_trace) == (True, True, True), report
 
 
 def test_gate_stages_are_the_shared_lifted_gates():
